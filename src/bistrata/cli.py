@@ -15,10 +15,9 @@ cusp:3, kbranch:2,1, diagram:0,4,2,1,3,0 (vertex pairs).  Exit codes:
 from __future__ import annotations
 
 import argparse
+import csv
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .collide import NewtonDiagram, SingularitySpec, collide_omp, is_linear, residual_multiplicity
 from .degrees import DegreeResult, gysin_degree, pair_degree, single_point_degree
@@ -80,14 +79,6 @@ def parse_range(text: str) -> tuple[int, int]:
     return a, b
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("STRATA_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _stratum_for(sx: SingularitySpec, sy: SingularitySpec | None) -> StratumClass:
     if sy is None:
         if sx.kind == "omp":
@@ -142,8 +133,10 @@ def cmd_degree(args, out, err) -> int:
     elif args.format == "csv":
         value = result.value_at(d_numeric) if d_numeric is not None else str(result)
         d_col = d_numeric if d_numeric is not None else "symbolic"
-        print("family,p,q,d,degree", file=out)
-        print(f"{_family_label(args)},,,{d_col},{value}", file=out)
+        # a diagram label carries commas: the csv module quotes it
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(("family", "p", "q", "d", "degree"))
+        writer.writerow((_family_label(args), "", "", d_col, value))
     else:
         print(f"degree: {result}", file=out)
         if d_numeric is not None:
@@ -186,8 +179,7 @@ def _table_rows(args) -> list[tuple[str, object, object, int, int]]:
     else:
         raise SpecError(f"unknown table family {family!r}")
 
-    def evaluate(cell):
-        p, q = cell
+    def evaluate(p, q):
         if family == "two-omp":
             res = gysin_degree(two_omp_stratum(p, q))
         elif family == "omp":
@@ -198,15 +190,9 @@ def _table_rows(args) -> list[tuple[str, object, object, int, int]]:
             res = pair_degree(SingularitySpec.cusp(p), SingularitySpec.omp(2))
         return res.value_at(d0)
 
-    threads = _thread_count()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            values = list(pool.map(evaluate, cells))
-    else:
-        values = [evaluate(cell) for cell in cells]
     rows = []
-    for (p, q), value in zip(cells, values):
-        rows.append((family, p, q if q is not None else "", d0, value))
+    for p, q in cells:
+        rows.append((family, p, q if q is not None else "", d0, evaluate(p, q)))
     rows.sort(key=lambda r: (r[0], r[1], r[2] if r[2] != "" else -1, r[3]))
     return rows
 

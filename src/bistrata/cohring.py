@@ -12,11 +12,18 @@ Every divisor class multiplied in this package is homogeneous of
 cohomological degree 2 with F coefficient 0 or 1, so this encoding is exact
 and keeps multiplication by F invertible on bounded classes.  That
 invertibility is what ``divide_exact`` uses to undo a degeneration.
+
+Public construction validates every term.  The ring operations build their
+results from terms that are already valid, so they skip that check: a sum,
+negation or scaling keeps each exponent, and a product adds exponents, drops
+every monomial that reaches a truncation, and adds the total degrees, so
+sum(exp) <= total_degree holds again.  They only drop zero coefficients.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, lt
 from typing import Iterable, Mapping, Sequence
 
 from .coeffring import ParamPoly
@@ -85,7 +92,20 @@ class CohClass:
     __slots__ = ("ambient", "total_degree", "terms")
 
     def __init__(self, ambient: VarSpec, total_degree: int,
-                 terms: Mapping[tuple[int, ...], ParamPoly]):
+                 terms: Mapping[tuple[int, ...], ParamPoly], *, _checked: bool = True):
+        """Class with the given terms; zero coefficients are dropped.
+
+        Every exponent must have one entry per generator, each in
+        [0, truncation), and sum to at most total_degree (the implicit F
+        exponent is non-negative).  ``_checked=False`` is for the ring
+        operations only: their terms are ParamPoly coefficients on exponents
+        that already satisfy these invariants, so only zeros are removed.
+        """
+        self.ambient = ambient
+        self.total_degree = total_degree
+        if not _checked:
+            self.terms = {e: c for e, c in terms.items() if c.coeffs}
+            return
         if total_degree < 0:
             raise ValueError("total_degree must be non-negative")
         cleaned: dict[tuple[int, ...], ParamPoly] = {}
@@ -105,8 +125,6 @@ class CohClass:
                     f"monomial {exp} exceeds total_degree {total_degree}; "
                     "the implicit F exponent would be negative")
             cleaned[tuple(exp)] = coeff
-        self.ambient = ambient
-        self.total_degree = total_degree
         self.terms = cleaned
 
     # -- constructors ------------------------------------------------------
@@ -152,12 +170,12 @@ class CohClass:
                 f"{self.total_degree} and {other.total_degree}")
         terms = dict(self.terms)
         for exp, coeff in other.terms.items():
-            terms[exp] = terms.get(exp, ParamPoly()) + coeff
-        return CohClass(self.ambient, self.total_degree, terms)
+            terms[exp] = terms[exp] + coeff if exp in terms else coeff
+        return CohClass(self.ambient, self.total_degree, terms, _checked=False)
 
     def __neg__(self) -> "CohClass":
         return CohClass(self.ambient, self.total_degree,
-                        {e: -c for e, c in self.terms.items()})
+                        {e: -c for e, c in self.terms.items()}, _checked=False)
 
     def __sub__(self, other: "CohClass") -> "CohClass":
         return self + (-other)
@@ -166,7 +184,7 @@ class CohClass:
         """Multiply every coefficient by an integer or ParamPoly (degree 0 in F)."""
         poly = _coerce_poly(factor)
         return CohClass(self.ambient, self.total_degree,
-                        {e: c * poly for e, c in self.terms.items()})
+                        {e: c * poly for e, c in self.terms.items()}, _checked=False)
 
     def __mul__(self, other: "CohClass") -> "CohClass":
         self._require_same_ambient(other)
@@ -174,15 +192,16 @@ class CohClass:
         out: dict[tuple[int, ...], ParamPoly] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                if any(e >= t for e, t in zip(exp, truncs)):
+                exp = tuple(map(add, e1, e2))
+                if not all(map(lt, exp, truncs)):
                     continue  # nilpotent: the monomial dies
                 prod = c1 * c2
                 if exp in out:
                     out[exp] = out[exp] + prod
                 else:
                     out[exp] = prod
-        return CohClass(self.ambient, self.total_degree + other.total_degree, out)
+        return CohClass(self.ambient, self.total_degree + other.total_degree, out,
+                        _checked=False)
 
     def __pow__(self, n: int) -> "CohClass":
         if n < 0:
@@ -235,13 +254,20 @@ class CohClass:
         return parts
 
     def divide_exact(self, b: "CohClass") -> "CohClass":
-        """Solve a * b == self for a, where b = F + (nilpotent part).
+        """Solve a * b == self for a, where b = F + N with N nilpotent.
 
         b must have total_degree 1 and F coefficient exactly 1.  Multiplying
         by b is injective on bounded classes because F is invertible there,
         so the quotient is found by matching implicit F degrees from the top
-        down; a nonzero remainder means the defining equation was
-        inconsistent and raises ExactDivisionError.
+        down.  N is homogeneous of visible degree 1, so the part a_L of the
+        quotient at visible degree L satisfies
+
+            a_L = self_L - a_(L-1) * N,    a_(-1) = 0,
+
+        one product with N per level, accumulated into a single dict.  The
+        product a * b is then compared with self: a nonzero remainder means
+        the defining equation was inconsistent and raises
+        ExactDivisionError.
         """
         self._require_same_ambient(b)
         if b.total_degree != 1:
@@ -253,24 +279,22 @@ class CohClass:
             raise ValueError("cannot divide the zero class")
         if self.total_degree < 1:
             raise ExactDivisionError("dividend has total_degree 0")
-        nilpotent = CohClass(self.ambient, 1,
-                             {e: c for e, c in b.terms.items() if e != zero_exp})
+        ambient = self.ambient
+        nilpotent = CohClass(ambient, 1,
+                             {e: c for e, c in b.terms.items() if e != zero_exp},
+                             _checked=False)
         target = self.graded_parts()
         t_quot = self.total_degree - 1
-        quotient = CohClass.zero(self.ambient, t_quot)
-        prev_level = CohClass.zero(self.ambient, t_quot)
+        quotient_terms: dict[tuple[int, ...], ParamPoly] = {}
+        level_cls = CohClass.zero(ambient, t_quot)
         for level in range(0, t_quot + 1):
-            carried = (prev_level * nilpotent).graded_parts().get(level, {})
-            wanted = target.get(level, {})
-            exps = set(wanted) | set(carried)
-            level_terms = {}
-            for exp in exps:
-                coeff = wanted.get(exp, ParamPoly()) - carried.get(exp, ParamPoly())
-                if not coeff.is_zero():
-                    level_terms[exp] = coeff
-            level_cls = CohClass(self.ambient, t_quot, level_terms)
-            quotient = quotient + level_cls
-            prev_level = CohClass(self.ambient, t_quot, level_terms)
+            terms = target.get(level, {})
+            if level_cls.terms:
+                for exp, coeff in (level_cls * nilpotent).terms.items():
+                    terms[exp] = terms[exp] - coeff if exp in terms else -coeff
+            level_cls = CohClass(ambient, t_quot, terms, _checked=False)
+            quotient_terms.update(level_cls.terms)
+        quotient = CohClass(ambient, t_quot, quotient_terms, _checked=False)
         if quotient * b != self:
             raise ExactDivisionError("division left a nonzero remainder")
         return quotient

@@ -197,7 +197,7 @@ class SingularitySpec:
             return f"cusp:{self.mults[0]}"
         if self.kind == "kbranch":
             return "kbranch:" + ",".join(str(m) for m in self.mults)
-        return "diagram:" + ";".join(f"{a},{b}" for a, b in self.diagram.vertices)
+        return "diagram:" + ",".join(f"{a},{b}" for a, b in self.diagram.vertices)
 
 
 def collide_omp(p: int, q: int) -> NewtonDiagram:

@@ -87,7 +87,9 @@ def kbranch_stratum(*mults: int) -> StratumClass:
         for name, mult in zip(names, mults)
     })
     acc = CohClass.zero(ambient, m_big - 1)
-    for j in range(m_big):
+    # cone_sum lives in the L_i alone and each L_i^3 = 0, so cone_sum^j = 0
+    # for j > 2k: the geometric sum stops there
+    for j in range(min(m_big, 2 * k + 1)):
         acc = acc + base ** (m_big - 1 - j) * cone_sum ** j
     for name in names:
         acc = acc * incidence_class(ambient, "X", name)

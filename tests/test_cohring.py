@@ -54,6 +54,24 @@ def test_reduced_form_is_enforced():
         CohClass(XL, 3, {(3, 0): ParamPoly.const(1)})
     with pytest.raises(ValueError):
         CohClass(XL, 1, {(1, 1): ParamPoly.const(1)})  # F exponent would be negative
+    with pytest.raises(ValueError):
+        CohClass(XL, 2, {(1,): ParamPoly.const(1)})  # wrong arity
+    with pytest.raises(ValueError):
+        CohClass(XL, 2, {(-1, 1): ParamPoly.const(1)})
+    with pytest.raises(ValueError):
+        CohClass(XL, -1, {})
+    with pytest.raises(TypeError):
+        CohClass(XL, 1, {(1, 0): 1.5})
+    assert CohClass(XL, 1, {(1, 0): 0, (0, 1): ParamPoly()}).is_zero()
+
+
+def test_from_json_rejects_malformed_terms():
+    good = divisor(XL, 1, X=2).to_json()
+    for exps, total in (({"X": 3}, 3), ({"X": 2, "L": 1}, 2), ({"Z": 1}, 1)):
+        data = dict(good, total_degree=total,
+                    terms=[{"exps": exps, "coeff": ["1"]}])
+        with pytest.raises((ValueError, KeyError)):
+            CohClass.from_json(data)
 
 
 def test_nilpotency():
@@ -157,6 +175,31 @@ def test_divide_exact_round_trip(a, b):
     if a.is_zero():
         return
     assert (a * b).divide_exact(b) == a
+
+
+def assert_revalidates(c):
+    assert all(not coeff.is_zero() for coeff in c.terms.values())
+    assert CohClass(c.ambient, c.total_degree, c.terms) == c
+
+
+@settings(max_examples=60)
+@given(classes(), classes(), admissible_divisors(), small_poly)
+def test_ring_built_classes_pass_public_validation(a, b, div, factor):
+    # ring operations skip per-term validation; what they build must pass it
+    built = [a + b, a - b, -a, a - a, a * b, a * div, div * div * div,
+             a.scaled(factor), a ** 2]
+    if not a.is_zero():
+        built.append((a * div).divide_exact(div))
+    for c in built:
+        assert_revalidates(c)
+
+
+def test_divide_exact_keeps_top_level_of_dividend():
+    # (F + L) X^2 has a term X^2 L at visible degree 3, above the quotient's
+    # total degree; it is matched by the product, not a remainder
+    x_sq = CohClass(XL, 2, {(2, 0): 1})
+    b = divisor(XL, 1, L=1)
+    assert (x_sq * b).divide_exact(b) == x_sq
 
 
 def test_divide_exact_power_quotient():

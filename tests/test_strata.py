@@ -1,11 +1,15 @@
+import math
+
 import pytest
 
 from bistrata.coeffring import ParamPoly, binomial
 from bistrata.cohring import CohClass, VarSpec
 from bistrata.collide import NewtonDiagram, SingularitySpec, collide_omp
+from bistrata.degrees import gysin_degree, reference_kbranch, reference_two_omp
 from bistrata.divisors import exceptional_class, incidence_class
 from bistrata.strata import (
     chipping_product,
+    cone_line_names,
     cusp_stratum,
     diagram_stratum,
     kbranch_stratum,
@@ -42,6 +46,40 @@ def test_kbranch_total_degree_and_symmetry():
     assert s.cls.total_degree == binomial(5, 2) - 1 + 2
     assert kbranch_stratum(2, 2, 1).aut_order == 2
     assert kbranch_stratum(3, 3, 3).aut_order == 6
+
+
+def untruncated_kbranch_class(mults):
+    """The kbranch product with the geometric sum over all j < M."""
+    names = cone_line_names(len(mults))
+    ambient = VarSpec.projective(("X",) + names)
+    p = sum(mults)
+    m_big = binomial(p + 2, 2)
+    base = CohClass.divisor(ambient, 1, {"X": dminus(p)})
+    cone_sum = CohClass.divisor(ambient, 0, dict(zip(names, mults)))
+    acc = CohClass.zero(ambient, m_big - 1)
+    for j in range(m_big):
+        acc = acc + base ** (m_big - 1 - j) * cone_sum ** j
+    for name in names:
+        acc = acc * incidence_class(ambient, "X", name)
+    return acc
+
+
+@pytest.mark.parametrize("mults", [(1, 1), (2, 1), (1, 1, 1), (2, 1, 1)])
+def test_kbranch_truncated_sum_equals_full_sum(mults):
+    assert kbranch_stratum(*mults).cls == untruncated_kbranch_class(mults)
+
+
+def test_kbranch_six_lines_reaches_reference():
+    s = kbranch_stratum(*[1] * 6)
+    assert s.aut_order == math.factorial(6)
+    assert gysin_degree(s).degree == s.aut_order * reference_kbranch([1] * 6)
+
+
+def test_node_pair_six_lines_reaches_reference():
+    # an ordinary 6-fold point with marked tangents beside a node: the
+    # recursion must give 6! times the closed form for two ordinary points
+    s = node_pair_stratum(SingularitySpec.kbranch(*[1] * 6))
+    assert gysin_degree(s).degree == math.factorial(6) * reference_two_omp(5, 1)
 
 
 def test_cusp_stratum_structure():
