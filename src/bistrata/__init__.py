@@ -42,6 +42,7 @@ from .strata import (
     node_pair_stratum,
     omp_stratum,
     solve_degeneration,
+    stratum_for,
     two_omp_stratum,
 )
 
@@ -54,6 +55,6 @@ __all__ = [
     "interpolate", "is_linear", "kbranch_stratum", "kill_tangent_cone_class",
     "monomial_kill_class", "node_pair_stratum", "omp_conditions_class",
     "omp_stratum", "pair_degree", "product_of", "residual_multiplicity",
-    "single_point_degree", "solve_degeneration", "tangency_degree",
+    "single_point_degree", "solve_degeneration", "stratum_for", "tangency_degree",
     "two_omp_stratum", "validity_bound",
 ]

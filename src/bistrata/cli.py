@@ -21,15 +21,7 @@ import sys
 
 from .collide import NewtonDiagram, SingularitySpec, collide_omp, is_linear, residual_multiplicity
 from .degrees import DegreeResult, gysin_degree, pair_degree, single_point_degree
-from .strata import (
-    StratumClass,
-    cusp_stratum,
-    diagram_stratum,
-    kbranch_stratum,
-    node_pair_stratum,
-    omp_stratum,
-    two_omp_stratum,
-)
+from .strata import stratum_for, two_omp_stratum
 from .verify import run_suite
 
 
@@ -77,27 +69,6 @@ def parse_range(text: str) -> tuple[int, int]:
     if a > b:
         raise SpecError(f"empty range {text!r}")
     return a, b
-
-
-def _stratum_for(sx: SingularitySpec, sy: SingularitySpec | None) -> StratumClass:
-    if sy is None:
-        if sx.kind == "omp":
-            return omp_stratum(sx.mults[0] - 1)
-        if sx.kind == "cusp":
-            return cusp_stratum(sx.mults[0])
-        if sx.kind == "kbranch":
-            return kbranch_stratum(*sx.mults)
-        if sx.kind == "diagram":
-            return diagram_stratum(sx.diagram)
-        raise ValueError(f"unsupported kind {sx.kind!r}")
-    if sx.kind == "omp" and sy.kind == "omp":
-        m_hi, m_lo = sorted((sx.mults[0], sy.mults[0]), reverse=True)
-        return two_omp_stratum(m_hi - 1, m_lo - 1)
-    if sx.kind == "omp":
-        sx, sy = sy, sx
-    if sy.kind == "omp" and sy.mults[0] == 2 and sx.kind in ("cusp", "kbranch"):
-        return node_pair_stratum(sx)
-    raise ValueError(f"unsupported pair ({sx.describe()}, {sy.describe()})")
 
 
 def _degree_for(sx: SingularitySpec, sy: SingularitySpec | None) -> DegreeResult:
@@ -148,7 +119,8 @@ def cmd_degree(args, out, err) -> int:
 def cmd_class(args, out, err) -> int:
     sx = parse_type_spec(args.x)
     sy = parse_type_spec(args.y) if args.y else None
-    stratum = _stratum_for(sx, sy)
+    # the bare stratum, without the tangent incidence that degree multiplies in
+    stratum = stratum_for(sx, sy)
     if args.format == "json":
         payload = stratum.cls.to_json()
         payload["aut"] = stratum.aut_order

@@ -273,18 +273,3 @@ def grid_eval_at(grid: Sequence[Sequence[int]], p0: int) -> ParamPoly:
         for j, c in enumerate(row):
             coeffs[j] += c * scale
     return ParamPoly(coeffs)
-
-
-def grid_equal(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> bool:
-    """Structural equality of coefficient grids up to trailing zeros."""
-
-    def norm(g):
-        rows = [list(r) for r in g]
-        for r in rows:
-            while r and r[-1] == 0:
-                r.pop()
-        while rows and not rows[-1]:
-            rows.pop()
-        return rows
-
-    return norm(a) == norm(b)

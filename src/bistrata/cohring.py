@@ -18,12 +18,24 @@ results from terms that are already valid, so they skip that check: a sum,
 negation or scaling keeps each exponent, and a product adds exponents, drops
 every monomial that reaches a truncation, and adds the total degrees, so
 sum(exp) <= total_degree holds again.  They only drop zero coefficients.
+
+Products run on a fused kernel (``CohClass.__mul__``).  Each output monomial
+owns one plain list of integers, its coefficient row, and every pair of
+input terms convolves its two coefficient polynomials straight into the row
+of their product monomial; one ParamPoly per output monomial is built at
+the end.  Exponents are packed into integers inside the product only, with
+one field per generator and a guard bit on top of each field (see
+``VarSpec._layout``), so the truncation test of a term pair is one addition
+and one mask.  The public key of ``terms`` stays the exponent tuple: JSON,
+coefficient lookup and grading read tuples, and a product builds each
+output tuple once, when its monomial first appears.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add, lt
+from functools import cached_property
+from operator import add, lshift
 from typing import Iterable, Mapping, Sequence
 
 from .coeffring import ParamPoly
@@ -76,6 +88,27 @@ class VarSpec:
     def top_exponent(self) -> tuple[int, ...]:
         """Exponent truncation-1 on every generator: the Gysin monomial."""
         return tuple(t - 1 for t in self.truncations)
+
+    @cached_property
+    def _layout(self) -> tuple[tuple[int, ...], int, int]:
+        """Packed-exponent layout of a product: (shifts, bias, guard).
+
+        Generator i owns the bits [w*i, w*i + w) of a packed exponent, with
+        w = max(truncation).bit_length() + 1, so 2^(w-1) > t_i for every
+        truncation t_i.  The left factor of a product adds the bias
+        2^(w-1) - t_i to each of its fields; the field of a packed sum then
+        holds e1 + e2 + 2^(w-1) - t_i, which lies in [0, 2^w) because
+        e1, e2 < t_i, so no field carries into the next.  Its top bit (the
+        guard) is set iff e1 + e2 >= t_i, so a term pair survives the
+        truncations iff (p1 + p2) & guard == 0.  Computed once per VarSpec;
+        equality and hashing still see the generators only.
+        """
+        width = max(self.truncations, default=1).bit_length() + 1
+        half = 1 << (width - 1)
+        shifts = tuple(width * i for i in range(len(self.generators)))
+        bias = sum((half - t) << s for t, s in zip(self.truncations, shifts))
+        guard = sum(half << s for s in shifts)
+        return shifts, bias, guard
 
 
 def _coerce_poly(value) -> ParamPoly:
@@ -187,19 +220,43 @@ class CohClass:
                         {e: c * poly for e, c in self.terms.items()}, _checked=False)
 
     def __mul__(self, other: "CohClass") -> "CohClass":
+        """Product: every surviving term pair convolves into one row per monomial.
+
+        Exponents are packed by ``VarSpec._layout``: a pair dies to the
+        truncations iff its biased packed sum hits a guard bit.  The packed
+        sum of a surviving pair keys the row of its output monomial, whose
+        tuple is built only when the row is created.  Coefficient
+        polynomials are convolved into the row with plain integers, zero
+        entries of the left coefficient skipped, and the row grows when a
+        longer product arrives; no ParamPoly exists until each finished row
+        becomes one through the public constructor.
+        """
         self._require_same_ambient(other)
-        truncs = self.ambient.truncations
-        out: dict[tuple[int, ...], ParamPoly] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exp = tuple(map(add, e1, e2))
-                if not all(map(lt, exp, truncs)):
+        shifts, bias, guard = self.ambient._layout
+        left = [(sum(map(lshift, e, shifts)) + bias, e, c.coeffs)
+                for e, c in self.terms.items()]
+        right = [(sum(map(lshift, e, shifts)), e, c.coeffs, len(c.coeffs) - 1)
+                 for e, c in other.terms.items()]
+        rows: dict[int, list[int]] = {}
+        exps: dict[int, tuple[int, ...]] = {}
+        for p1, e1, ca in left:
+            len1 = len(ca)
+            for p2, e2, cb, extra in right:
+                key = p1 + p2
+                if key & guard:
                     continue  # nilpotent: the monomial dies
-                prod = c1 * c2
-                if exp in out:
-                    out[exp] = out[exp] + prod
-                else:
-                    out[exp] = prod
+                size = len1 + extra
+                row = rows.get(key)
+                if row is None:
+                    exps[key] = tuple(map(add, e1, e2))
+                    row = rows[key] = [0] * size
+                elif len(row) < size:
+                    row.extend([0] * (size - len(row)))
+                for i, a in enumerate(ca):
+                    if a:
+                        for j, b in enumerate(cb, i):
+                            row[j] += a * b
+        out = {exps[key]: ParamPoly(row) for key, row in rows.items()}
         return CohClass(self.ambient, self.total_degree + other.total_degree, out,
                         _checked=False)
 

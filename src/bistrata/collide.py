@@ -111,6 +111,10 @@ class NewtonDiagram:
                 b += 1
         return out
 
+    def mirrored(self) -> "NewtonDiagram":
+        """The same staircase with the two coordinates swapped."""
+        return NewtonDiagram(tuple((b, a) for a, b in reversed(self.vertices)))
+
     def to_json(self) -> dict:
         return {"vertices": [[a, b] for a, b in self.vertices]}
 
@@ -189,6 +193,35 @@ class SingularitySpec:
             assert self.diagram is not None
             return max(a + b for a, b in self.diagram.vertices)
         raise ValueError(f"unsupported kind {self.kind!r}")
+
+    def canonical(self) -> "SingularitySpec":
+        """The same type in the orientation the construction routes read.
+
+        The diagram route traces the tangent line {x1 = 0} on the vertical
+        axis.  The lowest jet (the vertices on a + b = m) is divisible by
+        x1^alpha and x2^beta, alpha the least a and beta the least b there,
+        and the traced line must be the axis tangent of higher multiplicity:
+        alpha < beta is mirrored.  alpha = beta = 0 is a homogeneous diagram,
+        an ordinary point without a distinguished tangent, and becomes
+        omp:m.  alpha = beta > 0 puts tangents of equal multiplicity on both
+        axes, which the route does not cover: ValueError.  Other kinds are
+        returned unchanged.
+        """
+        if self.kind != "diagram":
+            return self
+        nd = self.diagram
+        m = nd.multiplicity
+        jet = [(a, b) for a, b in nd.vertices if a + b == m]
+        alpha, beta = jet[0][0], jet[-1][1]
+        if alpha > beta:
+            return self
+        if alpha < beta:
+            return SingularitySpec.from_diagram(nd.mirrored())
+        if alpha == 0:
+            return SingularitySpec.omp(m)
+        raise ValueError(
+            f"diagram {nd.vertices} has tangent lines of equal multiplicity {alpha} "
+            "on both axes; the diagram route traces only one of them")
 
     def describe(self) -> str:
         if self.kind == "omp":

@@ -17,15 +17,7 @@ from typing import Callable, Sequence
 from .coeffring import InterpolationError, ParamPoly, binomial
 from .collide import SingularitySpec
 from .divisors import incidence_class
-from .strata import (
-    StratumClass,
-    cusp_stratum,
-    diagram_stratum,
-    kbranch_stratum,
-    node_pair_stratum,
-    omp_stratum,
-    two_omp_stratum,
-)
+from .strata import StratumClass, stratum_for
 
 
 @dataclass(frozen=True)
@@ -80,36 +72,24 @@ def _with_tangent_incidence(s: StratumClass) -> StratumClass:
 
 
 def single_point_degree(sx: SingularitySpec) -> DegreeResult:
-    """Enumerative degree of the one-point stratum of a supported type."""
-    if sx.kind == "omp":
-        return gysin_degree(omp_stratum(sx.mults[0] - 1))
-    if sx.kind == "cusp":
-        return gysin_degree(_with_tangent_incidence(cusp_stratum(sx.mults[0])))
-    if sx.kind == "kbranch":
-        return gysin_degree(kbranch_stratum(*sx.mults))
-    if sx.kind == "diagram":
-        return gysin_degree(_with_tangent_incidence(diagram_stratum(sx.diagram)))
-    raise ValueError(f"unsupported singularity kind {sx.kind!r}")
+    """Enumerative degree of the one-point stratum of a supported type.
+
+    Cusp and diagram strata come bare of the point-on-tangent incidence,
+    which is multiplied in here.
+    """
+    s = stratum_for(sx)
+    if sx.canonical().kind in ("cusp", "diagram"):
+        s = _with_tangent_incidence(s)
+    return gysin_degree(s)
 
 
 def pair_degree(sx: SingularitySpec, sy: SingularitySpec) -> DegreeResult:
     """Enumerative degree of the two-point stratum; the pair is unordered.
 
-    Two ordinary points use the closed product form (multiplicities sorted
-    descending first); a cusp or marked-branch type beside a node uses the
-    degeneration recursion.  Other combinations are not supported.
+    The supported pairs are those of ``stratum_for``: two ordinary points,
+    or a cusp or marked-branch type beside a node.
     """
-    if sx.kind == "omp" and sy.kind == "omp":
-        m_hi, m_lo = sorted((sx.mults[0], sy.mults[0]), reverse=True)
-        return gysin_degree(two_omp_stratum(m_hi - 1, m_lo - 1))
-    # normalize: the non-ordinary type plays the first role
-    if sx.kind == "omp":
-        sx, sy = sy, sx
-    if sy.kind == "omp" and sy.mults[0] == 2 and sx.kind in ("cusp", "kbranch"):
-        return gysin_degree(node_pair_stratum(sx))
-    raise ValueError(
-        f"unsupported pair ({sx.describe()}, {sy.describe()}): two ordinary "
-        "points, or a cusp/kbranch type beside a node, are available")
+    return gysin_degree(stratum_for(sx, sy))
 
 
 def assemble_two_point_degree(sx: DegreeResult, sy: DegreeResult,

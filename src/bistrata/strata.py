@@ -88,9 +88,13 @@ def kbranch_stratum(*mults: int) -> StratumClass:
     })
     acc = CohClass.zero(ambient, m_big - 1)
     # cone_sum lives in the L_i alone and each L_i^3 = 0, so cone_sum^j = 0
-    # for j > 2k: the geometric sum stops there
+    # for j > 2k: the geometric sum stops there.  The cone powers grow by one
+    # factor per step; base^n has at most three terms, so it is recomputed.
+    cone_pow = CohClass.one(ambient)
     for j in range(min(m_big, 2 * k + 1)):
-        acc = acc + base ** (m_big - 1 - j) * cone_sum ** j
+        if j:
+            cone_pow = cone_pow * cone_sum
+        acc = acc + base ** (m_big - 1 - j) * cone_pow
     for name in names:
         acc = acc * incidence_class(ambient, "X", name)
     aut = 1
@@ -209,6 +213,47 @@ def chipping_product(p: int, q: int, d0: int) -> CohClass:
         })
         factors.append(linear - exceptional.scaled(k + q + 1))
     return product_of(factors)
+
+
+def stratum_for(sx: SingularitySpec, sy: SingularitySpec | None = None) -> StratumClass:
+    """The one dispatch from singularity types to a stratum construction.
+
+    One type gives its single-point stratum.  A pair is unordered: two
+    ordinary points use the closed product form (multiplicities sorted
+    descending first), and a cusp or marked-branch type beside a node uses
+    the degeneration recursion; other pairs raise ValueError.  Diagram
+    types are first put in canonical orientation (``SingularitySpec.
+    canonical``), so a mirrored diagram gives the same class and a
+    homogeneous one is an ordinary point.
+
+    The class is returned bare.  For cusp and diagram types it lives over
+    {X, L} but leaves out the incidence of the point with its tangent line
+    L; the degree layer multiplies that in before Gysin extraction, while
+    the ``class`` verb prints the stratum exactly as its route builds it.
+    """
+    sx = sx.canonical()
+    if sy is None:
+        if sx.kind == "omp":
+            return omp_stratum(sx.mults[0] - 1)
+        if sx.kind == "cusp":
+            return cusp_stratum(sx.mults[0])
+        if sx.kind == "kbranch":
+            return kbranch_stratum(*sx.mults)
+        if sx.kind == "diagram":
+            return diagram_stratum(sx.diagram)
+        raise ValueError(f"unsupported singularity kind {sx.kind!r}")
+    sy = sy.canonical()
+    if sx.kind == "omp" and sy.kind == "omp":
+        m_hi, m_lo = sorted((sx.mults[0], sy.mults[0]), reverse=True)
+        return two_omp_stratum(m_hi - 1, m_lo - 1)
+    # normalize: the non-ordinary type plays the first role
+    if sx.kind == "omp":
+        sx, sy = sy, sx
+    if sy.kind == "omp" and sy.mults[0] == 2 and sx.kind in ("cusp", "kbranch"):
+        return node_pair_stratum(sx)
+    raise ValueError(
+        f"unsupported pair ({sx.describe()}, {sy.describe()}): two ordinary "
+        "points, or a cusp/kbranch type beside a node, are available")
 
 
 def solve_degeneration(rhs: CohClass, kill: CohClass) -> CohClass:

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from bistrata.cli import main, parse_range, parse_type_spec, SpecError
+from bistrata.coeffring import binomial
 from bistrata.collide import NewtonDiagram, SingularitySpec, collide_omp
 
 
@@ -160,3 +161,42 @@ def test_domain_error_exit_code():
     code, _, err = run_cli("degree", "--x", "cusp:2", "--y", "cusp:2")
     assert code == 1
     assert "unsupported pair" in err
+
+
+def test_mirrored_diagram_degree_equals_canonical():
+    code, mirrored, _ = run_cli("degree", "--x", "diagram:0,2,4,0")
+    assert code == 0
+    assert mirrored == run_cli("degree", "--x", "diagram:0,4,2,0")[1]
+    assert mirrored.startswith("degree: 50*d^2 - 192*d + 168\n")
+
+
+def test_homogeneous_diagram_routes_to_ordinary_point():
+    code, out, _ = run_cli("degree", "--x", "diagram:0,3,3,0", "--format", "json")
+    assert code == 0
+    want = json.loads(run_cli("degree", "--x", "omp:3", "--format", "json")[1])
+    got = json.loads(out)
+    assert got.pop("family") == "diagram:0,3,3,0"
+    want.pop("family")
+    assert got == want
+
+
+def test_diagram_with_both_axes_tangent_exits_one():
+    code, out, err = run_cli("degree", "--x", "diagram:0,3,1,1,3,0")
+    assert code == 1
+    assert out == ""
+    assert "both axes" in err
+
+
+@pytest.mark.parametrize("spec", ["diagram:0,3,2,0", "diagram:0,4,2,0", "diagram:0,4,3,0",
+                                  "diagram:0,5,4,0", "diagram:0,6,5,0"])
+def test_canonical_diagrams_keep_their_orientation(spec):
+    sx = parse_type_spec(spec)
+    assert sx.canonical() == sx
+
+
+def test_class_prints_the_bare_stratum():
+    # degree multiplies in the tangent incidence; class leaves it out
+    code, out, _ = run_cli("class", "--x", "cusp:3", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["total_degree"] == binomial(4, 2) + 3

@@ -239,3 +239,70 @@ def test_balanced_product_matches_sequential():
     for f in factors:
         seq = seq * f
     assert product_of(factors) == seq
+
+
+# -- the fused product kernel against a naive reference ----------------------
+
+KERNEL_TRUNCS = (1, 2, 3, 4, 5, 9)
+# interior zeros such as [2, 0, -1] and small values, so that products cancel
+kernel_poly = st.lists(st.integers(-2, 2), min_size=1, max_size=4).map(ParamPoly)
+
+
+@st.composite
+def kernel_ambients(draw):
+    truncs = draw(st.lists(st.sampled_from(KERNEL_TRUNCS), min_size=1, max_size=3))
+    return VarSpec(tuple((f"G{i}", t) for i, t in enumerate(truncs)))
+
+
+@st.composite
+def kernel_classes(draw, ambient):
+    truncs = ambient.truncations
+    total = sum(t - 1 for t in truncs) + draw(st.integers(0, 2))
+    exponent = st.tuples(*(st.integers(0, t - 1) for t in truncs))
+    terms = draw(st.dictionaries(exponent, kernel_poly, max_size=8))
+    return CohClass(ambient, total, terms)
+
+
+def naive_product(a, b):
+    """Term-by-term product with tuple exponents and ParamPoly arithmetic."""
+    truncs = a.ambient.truncations
+    out = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            exp = tuple(x + y for x, y in zip(e1, e2))
+            if any(e >= t for e, t in zip(exp, truncs)):
+                continue
+            out[exp] = out.get(exp, ParamPoly()) + c1 * c2
+    return CohClass(a.ambient, a.total_degree + b.total_degree, out)
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_product_matches_naive_reference(data):
+    ambient = data.draw(kernel_ambients())
+    a = data.draw(kernel_classes(ambient))
+    b = data.draw(kernel_classes(ambient))
+    got = a * b
+    assert got == naive_product(a, b)
+    assert got == b * a
+    assert_revalidates(got)
+
+
+def test_product_drops_cancelled_monomials():
+    # (X - L)(X + L) = X^2 - L^2: the two XL terms cancel and are not stored
+    prod = divisor(XL, 0, X=1, L=-1) * divisor(XL, 0, X=1, L=1)
+    assert prod.terms == {(2, 0): ParamPoly.const(1), (0, 2): ParamPoly.const(-1)}
+    # coefficients whose middle or top power cancels keep canonical form
+    amb = VarSpec((("G", 2),))
+    a = CohClass(amb, 1, {(0,): ParamPoly((1, 1)), (1,): ParamPoly((0, 1))})
+    b = CohClass(amb, 1, {(0,): ParamPoly((1, -1)), (1,): ParamPoly((0, 1))})
+    assert (a * b).terms == {(0,): ParamPoly((1, 0, -1)), (1,): ParamPoly((0, 2))}
+
+
+def test_product_with_truncation_one_generator():
+    # a generator truncated at 1 has only exponent 0, and its biased field
+    # must let 0 + 0 through while X still dies at X^3
+    amb = VarSpec((("X", 3), ("Z", 1)))
+    x = CohClass.generator(amb, "X")
+    assert (x * x).terms == {(2, 0): ParamPoly.const(1)}
+    assert (x * x * x).is_zero()

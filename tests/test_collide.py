@@ -134,3 +134,10 @@ def test_validity_bounds():
     assert validity_bound(SingularitySpec.omp(4), SingularitySpec.omp(2)) == 6
     assert validity_bound(SingularitySpec.omp(2), SingularitySpec.omp(2)) == 4
     assert validity_bound(SingularitySpec.cusp(3), SingularitySpec.omp(2)) == 6
+
+
+def test_mirrored_swaps_coordinates():
+    nd = NewtonDiagram(((0, 5), (1, 3), (3, 0)))
+    assert nd.mirrored().vertices == ((0, 3), (3, 1), (5, 0))
+    assert nd.mirrored().mirrored() == nd
+    assert nd.mirrored().kill_points() == sorted((b, a) for a, b in nd.kill_points())

@@ -174,3 +174,54 @@ def test_degree_values_nonnegative_in_validity_range():
 def test_catalog_keys_are_unique():
     keys = [f.key for f in REFERENCE_FORMULAS]
     assert len(keys) == len(set(keys))
+
+
+# -- classical counts, independent of the paper's closed forms ----------------
+
+D = ParamPoly((0, 1))
+
+
+def diagram_spec(*points):
+    return SingularitySpec.from_diagram(NewtonDiagram.from_points(points))
+
+
+@pytest.mark.parametrize("spec, want", [
+    # A1, A2, A3, D4 and E6 as in Kazarian, Multisingularities, cobordisms,
+    # and enumerative geometry (2003)
+    (SingularitySpec.omp(2), 3 * dminus(1) ** 2),
+    (SingularitySpec.cusp(2), 12 * dminus(1) * dminus(2)),
+    (diagram_spec((0, 4), (2, 0)), 50 * D ** 2 - 192 * D + 168),
+    (SingularitySpec.omp(3), 15 * dminus(2) ** 2),
+    (diagram_spec((0, 4), (3, 0)), 21 * dminus(3) * ParamPoly((-9, 4))),
+], ids=["A1", "A2", "A3", "D4", "E6"])
+def test_classical_single_point_degrees(spec, want):
+    got = single_point_degree(spec)
+    assert got.aut_applied == 1
+    assert got.degree == want
+
+
+def test_two_nodes_polynomial_identity():
+    # Kleiman-Piene, Enumerating singular curves on surfaces (1999):
+    # (3/2)(d-1)(d-2)(3d^2-3d-11) binodal curves
+    got = pair_degree(SingularitySpec.omp(2), SingularitySpec.omp(2))
+    assert got.aut_applied == 2
+    assert got.degree == 3 * dminus(1) * dminus(2) * (3 * D ** 2 - 3 * D - 11)
+
+
+def test_mirrored_diagram_gives_the_same_degree():
+    # the tacnode with its tangent on the horizontal axis is the same type
+    a3 = single_point_degree(diagram_spec((0, 4), (2, 0)))
+    assert single_point_degree(diagram_spec((0, 2), (4, 0))) == a3
+    got = single_point_degree(diagram_spec((0, 4), (1, 2), (4, 0)))
+    assert got == single_point_degree(diagram_spec((0, 4), (2, 1), (4, 0)))
+
+
+def test_homogeneous_diagram_is_an_ordinary_point():
+    got = single_point_degree(diagram_spec((0, 3), (3, 0)))
+    assert got == single_point_degree(SingularitySpec.omp(3))
+    assert got.degree == 15 * dminus(2) ** 2
+
+
+def test_diagram_with_both_axes_tangent_is_refused():
+    with pytest.raises(ValueError, match="both axes"):
+        single_point_degree(diagram_spec((0, 3), (1, 1), (3, 0)))

@@ -17,6 +17,7 @@ from bistrata.strata import (
     node_pair_stratum,
     omp_stratum,
     solve_degeneration,
+    stratum_for,
     two_omp_stratum,
 )
 
@@ -202,3 +203,25 @@ def test_stratum_values_are_nonnegative_within_validity():
         top = s.cls.coefficient(s.ambient.top_exponent())
         for d in range(s.valid_from_d, s.valid_from_d + 6):
             assert top(d) >= 0
+
+
+def test_kbranch_seven_lines_reaches_reference():
+    s = kbranch_stratum(*[1] * 7)
+    assert s.aut_order == math.factorial(7)
+    assert gysin_degree(s).degree == math.factorial(7) * reference_kbranch([1] * 7)
+
+
+def test_stratum_for_canonicalises_diagrams():
+    tacnode = NewtonDiagram.from_points([(0, 4), (2, 0)])
+    mirrored = SingularitySpec.from_diagram(tacnode.mirrored())
+    assert stratum_for(mirrored).cls == diagram_stratum(tacnode).cls
+    triple = SingularitySpec.from_diagram(NewtonDiagram.from_points([(0, 3), (3, 0)]))
+    assert stratum_for(triple) == omp_stratum(2)
+
+
+def test_stratum_for_pairs_are_unordered():
+    node, cusp = SingularitySpec.omp(2), SingularitySpec.cusp(3)
+    assert stratum_for(node, cusp) == stratum_for(cusp, node)
+    assert stratum_for(SingularitySpec.omp(3), node) == two_omp_stratum(2, 1)
+    with pytest.raises(ValueError, match="unsupported pair"):
+        stratum_for(cusp, cusp)
