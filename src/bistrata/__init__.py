@@ -6,7 +6,7 @@ off enumerative degrees of strata of curves with one or two singular points
 of linear singularity types.
 """
 
-from .coeffring import InterpolationError, ParamPoly, binomial, interpolate
+from .coeffring import InterpolationError, ParamPoly, binomial
 from .cohring import CohClass, ExactDivisionError, VarSpec, product_of
 from .collide import (
     NewtonDiagram,
@@ -15,7 +15,6 @@ from .collide import (
     is_linear,
     residual_multiplicity,
     tangency_degree,
-    validity_bound,
 )
 from .degrees import (
     ClosedForm,
@@ -52,9 +51,9 @@ __all__ = [
     "StratumClass", "VarSpec", "binomial", "chipping_product",
     "closed_form_in_p", "collide_omp", "cusp_stratum", "diagonal_class",
     "diagram_stratum", "exceptional_class", "gysin_degree", "incidence_class",
-    "interpolate", "is_linear", "kbranch_stratum", "kill_tangent_cone_class",
+    "is_linear", "kbranch_stratum", "kill_tangent_cone_class",
     "monomial_kill_class", "node_pair_stratum", "omp_conditions_class",
     "omp_stratum", "pair_degree", "product_of", "residual_multiplicity",
     "single_point_degree", "solve_degeneration", "stratum_for", "tangency_degree",
-    "two_omp_stratum", "validity_bound",
+    "two_omp_stratum",
 ]

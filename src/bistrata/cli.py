@@ -15,7 +15,9 @@ cusp:3, kbranch:2,1, diagram:0,4,2,1,3,0 (vertex pairs).  Exit codes:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import io
 import json
 import sys
 
@@ -276,18 +278,36 @@ COMMANDS = {
     "collide": cmd_collide,
 }
 
+# The parser every main call shares, built on first use.  argparse keeps no
+# per-call state on it: each parse_args sets defaults on a fresh namespace.
+_parser: argparse.ArgumentParser | None = None
+
+
+def _shared_parser() -> argparse.ArgumentParser:
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    return _parser
+
 
 def main(argv: list[str] | None = None, stdout=None, stderr=None) -> int:
+    """Run one command; may be called repeatedly in one process.
+
+    Everything, argparse usage errors and --help included, is written to
+    the given streams (default: sys.stdout and sys.stderr at call time).
+    While arguments are parsed sys.stdout and sys.stderr are swapped for
+    them, so threads calling main at once may cross argparse messages.
+    """
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
-    parser = build_parser()
+    parser = _shared_parser()
     try:
-        args = parser.parse_args(argv)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse usage errors carry code 2
         return int(exc.code or 0)
     try:
         if getattr(args, "out", None):
-            import io
             buffer = io.StringIO()
             code = COMMANDS[args.verb](args, buffer, err)
             with open(args.out, "w") as handle:

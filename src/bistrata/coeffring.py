@@ -4,14 +4,11 @@ Every cohomology-class coefficient in this package is a polynomial in the
 symbolic curve degree d with arbitrary-precision integer coefficients.  The
 representation is dense (degrees stay small, about 10 at most in practice)
 and canonical: the highest stored coefficient is nonzero unless the
-polynomial is zero.  Rational arithmetic appears only inside Lagrange
-interpolation, and every interpolation result is asserted to be integral
-before it leaves this module.
+polynomial is zero.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 
@@ -188,88 +185,3 @@ def binomial(n: int, k: int) -> int:
     for i in range(k):
         out = out * (n - i) // (i + 1)
     return out
-
-
-def _lagrange_fraction_coeffs(xs: Sequence[int], ys: Sequence[Fraction]) -> list[Fraction]:
-    """Coefficients of the unique degree < len(xs) polynomial through (xs, ys)."""
-    n = len(xs)
-    acc = [Fraction(0)] * n
-    for i in range(n):
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for k in range(n):
-            if k == i:
-                continue
-            # multiply basis by (t - xs[k])
-            nxt = [Fraction(0)] * (len(basis) + 1)
-            for j, c in enumerate(basis):
-                nxt[j] += c * (-xs[k])
-                nxt[j + 1] += c
-            basis = nxt
-            denom *= xs[i] - xs[k]
-        scale = ys[i] / denom
-        for j, c in enumerate(basis):
-            acc[j] += c * scale
-    return acc
-
-
-def interpolate(samples: Sequence[tuple[int, ParamPoly]]) -> list[list[int]]:
-    """Recover a bivariate polynomial from per-parameter samples.
-
-    ``samples`` holds pairs (p0, value) where ``value`` is the exact
-    polynomial in the second variable at integer parameter p0.  Each power of
-    the second variable is interpolated separately by exact Lagrange
-    interpolation through all sample points, so the result is correct for
-    parameter degree up to len(samples) - 1.
-
-    Returns the coefficient grid ``c[i][j]`` of p^i * v^j where v is the
-    second variable.  Raises InterpolationError if points repeat or if any
-    final coefficient fails to be an integer (the signature of a wrong degree
-    bound or inconsistent samples).
-    """
-    if not samples:
-        raise InterpolationError("no samples given")
-    xs = [p for p, _ in samples]
-    if len(set(xs)) != len(xs):
-        raise InterpolationError("sample parameters must be distinct")
-    width = max((s.degree() + 1 for _, s in samples), default=0)
-    width = max(width, 1)
-    n = len(xs)
-    grid: list[list[Fraction]] = [[Fraction(0)] * width for _ in range(n)]
-    for j in range(width):
-        ys = [Fraction(poly.coeffs[j] if j < len(poly.coeffs) else 0) for _, poly in samples]
-        col = _lagrange_fraction_coeffs(xs, ys)
-        for i in range(n):
-            grid[i][j] = col[i]
-    out: list[list[int]] = []
-    for i in range(n):
-        row = []
-        for j in range(width):
-            val = grid[i][j]
-            if val.denominator != 1:
-                raise InterpolationError(
-                    f"non-integral coefficient {val} at p^{i} v^{j}; "
-                    "degree bound too low or samples inconsistent"
-                )
-            row.append(int(val))
-        out.append(row)
-    # trim empty trailing rows and columns for a canonical grid
-    while out and all(c == 0 for c in out[-1]):
-        out.pop()
-    trimmed_width = 0
-    for r in out:
-        for j, c in enumerate(r):
-            if c != 0:
-                trimmed_width = max(trimmed_width, j + 1)
-    return [r[:trimmed_width] for r in out]
-
-
-def grid_eval_at(grid: Sequence[Sequence[int]], p0: int) -> ParamPoly:
-    """Evaluate a coefficient grid at integer parameter p0, leaving a ParamPoly."""
-    width = max((len(r) for r in grid), default=0)
-    coeffs = [0] * width
-    for i, row in enumerate(grid):
-        scale = p0 ** i
-        for j, c in enumerate(row):
-            coeffs[j] += c * scale
-    return ParamPoly(coeffs)

@@ -135,7 +135,8 @@ class SingularitySpec:
       kbranch(p_i)  pairwise non-tangent branches with tangent cone
                     l_1^(p_1) .. l_k^(p_k), generic next jet;
       diagram(nd)   the linear type of a Newton diagram, traced along the
-                    tangent line on its vertical axis.
+                    tangent line on its vertical axis; a diagram with
+                    tangent lines on both axes is refused (see canonical).
     """
 
     kind: str
@@ -200,12 +201,12 @@ class SingularitySpec:
         The diagram route traces the tangent line {x1 = 0} on the vertical
         axis.  The lowest jet (the vertices on a + b = m) is divisible by
         x1^alpha and x2^beta, alpha the least a and beta the least b there,
-        and the traced line must be the axis tangent of higher multiplicity:
-        alpha < beta is mirrored.  alpha = beta = 0 is a homogeneous diagram,
-        an ordinary point without a distinguished tangent, and becomes
-        omp:m.  alpha = beta > 0 puts tangents of equal multiplicity on both
-        axes, which the route does not cover: ValueError.  Other kinds are
-        returned unchanged.
+        so alpha > 0 makes {x1 = 0} a tangent and beta > 0 makes {x2 = 0}
+        one.  beta > 0 alone is mirrored.  alpha = beta = 0 is a homogeneous
+        diagram, an ordinary point without a distinguished tangent, and
+        becomes omp:m.  alpha > 0 and beta > 0 put tangents on both axes;
+        the route traces only one of them, so no generator follows the
+        other: ValueError.  Other kinds are returned unchanged.
         """
         if self.kind != "diagram":
             return self
@@ -213,15 +214,15 @@ class SingularitySpec:
         m = nd.multiplicity
         jet = [(a, b) for a, b in nd.vertices if a + b == m]
         alpha, beta = jet[0][0], jet[-1][1]
-        if alpha > beta:
-            return self
-        if alpha < beta:
+        if alpha and beta:
+            raise ValueError(
+                f"diagram {nd.vertices} has tangent lines on both axes (multiplicities "
+                f"{alpha} and {beta}); the diagram route traces only one of them")
+        if beta:
             return SingularitySpec.from_diagram(nd.mirrored())
-        if alpha == 0:
-            return SingularitySpec.omp(m)
-        raise ValueError(
-            f"diagram {nd.vertices} has tangent lines of equal multiplicity {alpha} "
-            "on both axes; the diagram route traces only one of them")
+        if alpha:
+            return self
+        return SingularitySpec.omp(m)
 
     def describe(self) -> str:
         if self.kind == "omp":
@@ -278,13 +279,3 @@ def is_linear(nd: NewtonDiagram) -> bool:
         if not lo <= slope <= hi:
             return False
     return True
-
-
-def validity_bound(sx: SingularitySpec, sy: SingularitySpec) -> int:
-    """Smallest d for which the two-point degree formulas are asserted valid.
-
-    The bound is the sum of determinacy orders; for two ordinary points of
-    multiplicities p+1 and q+1 it equals p+q+2, the sharp bound of the
-    product formula.
-    """
-    return sx.determinacy_order + sy.determinacy_order

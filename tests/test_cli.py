@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from bistrata.cli import main, parse_range, parse_type_spec, SpecError
+from bistrata import cli
+from bistrata.cli import build_parser, main, parse_range, parse_type_spec, SpecError
 from bistrata.coeffring import binomial
 from bistrata.collide import NewtonDiagram, SingularitySpec, collide_omp
 
@@ -155,6 +156,65 @@ def test_usage_error_exit_code():
     assert code == 2
     code, _, _ = run_cli("degree")
     assert code == 2
+
+
+def test_usage_errors_go_to_the_given_stream(capsys):
+    code, out, err = run_cli("degree")
+    assert code == 2
+    assert out == ""
+    assert "usage: bistrata degree" in err
+    assert "required" in err
+    assert capsys.readouterr() == ("", "")
+
+
+def test_help_goes_to_the_given_stream(capsys):
+    code, out, err = run_cli("--help")
+    assert code == 0
+    assert "usage: bistrata" in out
+    assert err == ""
+    assert capsys.readouterr() == ("", "")
+
+
+def test_build_parser_returns_a_fresh_parser():
+    assert build_parser() is not build_parser()
+
+
+MIXED_CALLS = [
+    ("degree", "--x", "omp:3"),
+    ("degree", "--x", "omp:2", "--y", "omp:2", "--d", "5"),
+    ("degree", "--x", "cusp:3", "--d", "7", "--format", "csv"),
+    ("degree", "--x", "cusp:3", "--symbolic-d", "--format", "json"),
+    ("degree", "--x", "kbranch:2,1", "--y", "omp:2", "--format", "json"),
+    ("class", "--x", "omp:2", "--format", "json"),
+    ("table", "--family", "omp", "--p-range", "1..3", "--d", "6", "--out", "{tmp}"),
+    ("collide", "--x", "omp:4", "--y", "omp:2"),
+    ("verify", "--suite", "ring"),
+    ("degree", "--x", "nope:3"),
+    ("degree", "--x", "omp:3", "--symbolic-d", "--d", "4"),
+    ("degree", "--x", "omp:3", "--d", "2"),
+]
+
+
+def test_repeated_calls_are_independent(tmp_path, monkeypatch):
+    target = tmp_path / "table.csv"
+
+    def call(argv):
+        got = run_cli(*(str(target) if a == "{tmp}" else a for a in argv))
+        if target.exists():
+            got += (target.read_text(),)
+            target.unlink()
+        return got
+
+    forward = [call(argv) for argv in MIXED_CALLS]
+    backward = [call(argv) for argv in reversed(MIXED_CALLS)][::-1]
+    assert forward == backward
+    for argv, want in zip(MIXED_CALLS, forward):
+        monkeypatch.setattr(cli, "_parser", None)
+        assert call(argv) == want
+    codes = [got[0] for got in forward]
+    assert codes == [0] * 9 + [2, 2, 0]
+    assert "not allowed with argument" in forward[10][2]
+    assert forward[6][1] == "" and forward[6][3].startswith("family,p,q,d,degree\n")
 
 
 def test_domain_error_exit_code():

@@ -1,15 +1,7 @@
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, strategies as st
 
-from bistrata.coeffring import (
-    InterpolationError,
-    ParamPoly,
-    binomial,
-    grid_eval_at,
-    interpolate,
-)
+from bistrata.coeffring import ParamPoly, binomial
 
 polys = st.lists(st.integers(-9, 9), min_size=0, max_size=5).map(ParamPoly)
 
@@ -78,43 +70,6 @@ def test_json_round_trip():
     poly = ParamPoly([-66, 81, 12, -36, 9])
     assert ParamPoly.from_json(poly.to_json()) == poly
     assert poly.to_json() == ["-66", "81", "12", "-36", "9"]
-
-
-def test_interpolate_round_trip_bivariate():
-    # c[i][j] for p^i d^j with integer entries round-trips exactly
-    grid = [[1, 0, 2], [0, -3, 0], [5, 0, 0]]
-    samples = [(p, grid_eval_at(grid, p)) for p in range(0, 5)]
-    recovered = interpolate(samples)
-    assert recovered == grid
-    for p in range(-4, 8):
-        assert grid_eval_at(recovered, p) == grid_eval_at(grid, p)
-
-
-@given(st.lists(st.lists(st.integers(-6, 6), min_size=1, max_size=3),
-                min_size=1, max_size=4))
-def test_interpolate_round_trip_property(rows):
-    samples = [(p, grid_eval_at(rows, p)) for p in range(len(rows) + 1)]
-    recovered = interpolate(samples)
-    for p in range(-2, len(rows) + 3):
-        assert grid_eval_at(recovered, p) == grid_eval_at(rows, p)
-
-
-def test_interpolate_detects_non_integral_result():
-    # values of p(p-1)/2 are integers but its monomial coefficients are not
-    samples = [(p, ParamPoly.const(p * (p - 1) // 2)) for p in range(3)]
-    with pytest.raises(InterpolationError):
-        interpolate(samples)
-
-
-def test_interpolate_rejects_repeated_points():
-    samples = [(1, ParamPoly.const(1)), (1, ParamPoly.const(2))]
-    with pytest.raises(InterpolationError):
-        interpolate(samples)
-
-
-def test_constant_family_gives_degree_zero_grid():
-    samples = [(p, ParamPoly([7, 1])) for p in range(1, 5)]
-    assert interpolate(samples) == [[7, 1]]
 
 
 @pytest.mark.parametrize("n,k,value", [(4, 2, 6), (6, 2, 15), (10, 2, 45),

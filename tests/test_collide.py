@@ -12,8 +12,8 @@ from bistrata.collide import (
     is_linear,
     residual_multiplicity,
     tangency_degree,
-    validity_bound,
 )
+from bistrata.strata import stratum_for
 
 
 def test_collision_diagrams():
@@ -131,9 +131,10 @@ def test_determinacy_orders():
 
 def test_validity_bounds():
     # two ordinary points of multiplicities p+1, q+1 give p+q+2
-    assert validity_bound(SingularitySpec.omp(4), SingularitySpec.omp(2)) == 6
-    assert validity_bound(SingularitySpec.omp(2), SingularitySpec.omp(2)) == 4
-    assert validity_bound(SingularitySpec.cusp(3), SingularitySpec.omp(2)) == 6
+    omp, cusp = SingularitySpec.omp, SingularitySpec.cusp
+    assert stratum_for(omp(4), omp(2)).valid_from_d == 6
+    assert stratum_for(omp(2), omp(2)).valid_from_d == 4
+    assert stratum_for(cusp(3), omp(2)).valid_from_d == 6
 
 
 def test_mirrored_swaps_coordinates():

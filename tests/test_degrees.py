@@ -1,7 +1,11 @@
-import pytest
+import io
 
+import pytest
+from hypothesis import assume, example, given, strategies as st
+
+from bistrata.cli import main, parse_type_spec
 from bistrata.coeffring import InterpolationError, ParamPoly, binomial
-from bistrata.collide import NewtonDiagram, SingularitySpec
+from bistrata.collide import NewtonDiagram, SingularitySpec, is_linear
 from bistrata.degrees import (
     DegreeResult,
     assemble_two_point_degree,
@@ -212,8 +216,15 @@ def test_mirrored_diagram_gives_the_same_degree():
     # the tacnode with its tangent on the horizontal axis is the same type
     a3 = single_point_degree(diagram_spec((0, 4), (2, 0)))
     assert single_point_degree(diagram_spec((0, 2), (4, 0))) == a3
-    got = single_point_degree(diagram_spec((0, 4), (1, 2), (4, 0)))
-    assert got == single_point_degree(diagram_spec((0, 4), (2, 1), (4, 0)))
+    # the lowest jet x1 x2^2 (and its mirror) puts tangents on both axes
+    for points in (((0, 4), (1, 2), (4, 0)), ((0, 4), (2, 1), (4, 0))):
+        with pytest.raises(ValueError, match="both axes"):
+            single_point_degree(diagram_spec(*points))
+        out, err = io.StringIO(), io.StringIO()
+        spec = diagram_spec(*points).describe()
+        assert main(["degree", "--x", spec], out, err) == 1
+        assert out.getvalue() == ""
+        assert "both axes" in err.getvalue()
 
 
 def test_homogeneous_diagram_is_an_ordinary_point():
@@ -225,3 +236,50 @@ def test_homogeneous_diagram_is_an_ordinary_point():
 def test_diagram_with_both_axes_tangent_is_refused():
     with pytest.raises(ValueError, match="both axes"):
         single_point_degree(diagram_spec((0, 3), (1, 1), (3, 0)))
+
+
+@pytest.mark.parametrize("p", range(2, 7))
+def test_diagram_chain_equals_marked_branch_product(p):
+    # (0,p+2),(p,1),(p+1,0) is the Newton diagram of the tangent cone
+    # l1^p l2 with a generic next jet: the diagram chain against the
+    # closed marked-branch product
+    got = single_point_degree(diagram_spec((0, p + 2), (p, 1), (p + 1, 0)))
+    assert got.degree == reference_kbranch((p, 1))
+
+
+@st.composite
+def linear_commode_diagrams(draw):
+    """Linear diagrams touching both axes, 2-3 vertices, coordinates <= 8."""
+    n = draw(st.integers(2, 3))
+    xs = sorted(draw(st.lists(st.integers(1, 8), min_size=n - 1, max_size=n - 1, unique=True)))
+    ys = sorted(draw(st.lists(st.integers(1, 8), min_size=n - 1, max_size=n - 1, unique=True)),
+                reverse=True)
+    vertices = ((0, ys[0]), *zip(xs[:-1], ys[1:]), (xs[-1], 0))
+    try:
+        nd = NewtonDiagram(vertices)
+    except ValueError:  # not convex
+        assume(False)
+    assume(nd.multiplicity >= 2 and is_linear(nd))
+    return nd
+
+
+def _degree_or_refused(nd):
+    try:
+        return single_point_degree(SingularitySpec.from_diagram(nd))
+    except ValueError as exc:
+        assert "both axes" in str(exc)
+        return None
+
+
+@given(linear_commode_diagrams())
+# tangents on both axes; these gave negative counts before they were refused
+@example(NewtonDiagram(((0, 7), (2, 3), (6, 0))))
+@example(NewtonDiagram(((0, 8), (2, 4), (7, 0))))
+def test_random_linear_diagrams(nd):
+    spec = SingularitySpec.from_diagram(nd)
+    assert parse_type_spec(spec.describe()) == spec
+    got = _degree_or_refused(nd)
+    assert got == _degree_or_refused(nd.mirrored())
+    if got is not None:
+        for d in range(got.valid_from_d, got.valid_from_d + 6):
+            assert got.value_at(d) >= 0
