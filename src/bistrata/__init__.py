@@ -14,15 +14,13 @@ from .collide import (
     collide_omp,
     is_linear,
     residual_multiplicity,
-    tangency_degree,
 )
 from .degrees import (
     ClosedForm,
     DegreeResult,
     closed_form_in_p,
     gysin_degree,
-    pair_degree,
-    single_point_degree,
+    stratum_degree,
 )
 from .divisors import (
     diagonal_class,
@@ -34,13 +32,11 @@ from .divisors import (
 )
 from .strata import (
     StratumClass,
-    chipping_product,
     cusp_stratum,
     diagram_stratum,
     kbranch_stratum,
     node_pair_stratum,
     omp_stratum,
-    solve_degeneration,
     stratum_for,
     two_omp_stratum,
 )
@@ -48,12 +44,11 @@ from .strata import (
 __all__ = [
     "CohClass", "ClosedForm", "DegreeResult", "ExactDivisionError",
     "InterpolationError", "NewtonDiagram", "ParamPoly", "SingularitySpec",
-    "StratumClass", "VarSpec", "binomial", "chipping_product",
-    "closed_form_in_p", "collide_omp", "cusp_stratum", "diagonal_class",
-    "diagram_stratum", "exceptional_class", "gysin_degree", "incidence_class",
-    "is_linear", "kbranch_stratum", "kill_tangent_cone_class",
-    "monomial_kill_class", "node_pair_stratum", "omp_conditions_class",
-    "omp_stratum", "pair_degree", "product_of", "residual_multiplicity",
-    "single_point_degree", "solve_degeneration", "stratum_for", "tangency_degree",
+    "StratumClass", "VarSpec", "binomial", "closed_form_in_p", "collide_omp",
+    "cusp_stratum", "diagonal_class", "diagram_stratum", "exceptional_class",
+    "gysin_degree", "incidence_class", "is_linear", "kbranch_stratum",
+    "kill_tangent_cone_class", "monomial_kill_class", "node_pair_stratum",
+    "omp_conditions_class", "omp_stratum", "product_of",
+    "residual_multiplicity", "stratum_degree", "stratum_for",
     "two_omp_stratum",
 ]

@@ -22,8 +22,8 @@ import json
 import sys
 
 from .collide import NewtonDiagram, SingularitySpec, collide_omp, is_linear, residual_multiplicity
-from .degrees import DegreeResult, gysin_degree, pair_degree, single_point_degree
-from .strata import stratum_for, two_omp_stratum
+from .degrees import DegreeResult, stratum_degree
+from .strata import stratum_for
 from .verify import run_suite
 
 
@@ -73,10 +73,13 @@ def parse_range(text: str) -> tuple[int, int]:
     return a, b
 
 
-def _degree_for(sx: SingularitySpec, sy: SingularitySpec | None) -> DegreeResult:
-    if sy is None:
-        return single_point_degree(sx)
-    return pair_degree(sx, sy)
+def _below_validity(result: DegreeResult, d0: int | None, err, cell: str = "") -> bool:
+    """Whether a numeric d0 is below the validity bound; if so, warn on err."""
+    below = d0 is not None and d0 < result.valid_from_d
+    if below:
+        print(f"warning: {cell}d={d0} is below the validity bound "
+              f"d >= {result.valid_from_d}; the value is formal", file=err)
+    return below
 
 
 def _family_label(args) -> str:
@@ -89,12 +92,9 @@ def _family_label(args) -> str:
 def cmd_degree(args, out, err) -> int:
     sx = parse_type_spec(args.x)
     sy = parse_type_spec(args.y) if args.y else None
-    result = _degree_for(sx, sy)
+    result = stratum_degree(sx, sy)
     d_numeric = args.d
-    below = d_numeric is not None and d_numeric < result.valid_from_d
-    if below:
-        print(f"warning: d={d_numeric} is below the validity bound "
-              f"d >= {result.valid_from_d}; the value is formal", file=err)
+    below = _below_validity(result, d_numeric, err)
     if args.format == "json":
         payload = {"family": _family_label(args)}
         payload.update(result.to_json())
@@ -136,43 +136,33 @@ def cmd_class(args, out, err) -> int:
     return 0
 
 
-def _table_rows(args) -> list[tuple[str, object, object, int, int]]:
+# Each table family: its least p, whether it reads q (then q <= p), and the
+# type pair of the cell (p, q).
+TABLE_FAMILIES = {
+    "two-omp": (1, True, lambda p, q: (SingularitySpec.omp(p + 1), SingularitySpec.omp(q + 1))),
+    "omp": (1, False, lambda p, q: (SingularitySpec.omp(p + 1), None)),
+    "cusp": (2, False, lambda p, q: (SingularitySpec.cusp(p), None)),
+    "cusp-node": (2, False, lambda p, q: (SingularitySpec.cusp(p), SingularitySpec.omp(2))),
+}
+
+
+def _table_rows(args, err) -> list[tuple[str, int, object, int, int]]:
+    """Rows in (p, q) order; a cell below its validity bound warns on err."""
     p_lo, p_hi = parse_range(args.p_range)
     q_lo, q_hi = parse_range(args.q_range) if args.q_range else (1, 1)
-    d0 = args.d
-    family = args.family
-    cells: list[tuple[int, int | None]] = []
-    if family == "two-omp":
-        for p in range(p_lo, p_hi + 1):
-            for q in range(q_lo, q_hi + 1):
-                if q <= p:
-                    cells.append((p, q))
-    elif family in ("omp", "cusp", "cusp-node"):
-        lo = max(p_lo, 2 if family != "omp" else 1)
-        cells.extend((p, None) for p in range(lo, p_hi + 1))
-    else:
-        raise SpecError(f"unknown table family {family!r}")
-
-    def evaluate(p, q):
-        if family == "two-omp":
-            res = gysin_degree(two_omp_stratum(p, q))
-        elif family == "omp":
-            res = single_point_degree(SingularitySpec.omp(p + 1))
-        elif family == "cusp":
-            res = single_point_degree(SingularitySpec.cusp(p))
-        else:
-            res = pair_degree(SingularitySpec.cusp(p), SingularitySpec.omp(2))
-        return res.value_at(d0)
-
+    least_p, reads_q, pair_of = TABLE_FAMILIES[args.family]
     rows = []
-    for p, q in cells:
-        rows.append((family, p, q if q is not None else "", d0, evaluate(p, q)))
-    rows.sort(key=lambda r: (r[0], r[1], r[2] if r[2] != "" else -1, r[3]))
+    for p in range(max(p_lo, least_p), p_hi + 1):
+        for q in range(q_lo, min(p, q_hi) + 1) if reads_q else ("",):
+            result = stratum_degree(*pair_of(p, q))
+            cell = f"{args.family} p={p}" + (f" q={q}" if reads_q else "")
+            _below_validity(result, args.d, err, cell + ": ")
+            rows.append((args.family, p, q, args.d, result.value_at(args.d)))
     return rows
 
 
 def cmd_table(args, out, err) -> int:
-    rows = _table_rows(args)
+    rows = _table_rows(args, err)
     if args.format == "json":
         payload = [{"family": f, "p": p, "q": q if q != "" else None,
                     "d": d, "degree": v} for f, p, q, d, v in rows]
@@ -249,8 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_class, formats=("text", "json"))
 
     p_table = sub.add_parser("table", help="numeric degree tables")
-    p_table.add_argument("--family", required=True,
-                         choices=("two-omp", "omp", "cusp", "cusp-node"))
+    p_table.add_argument("--family", required=True, choices=tuple(TABLE_FAMILIES))
     p_table.add_argument("--p-range", required=True, metavar="A..B")
     p_table.add_argument("--q-range", metavar="A..B")
     p_table.add_argument("--d", type=int, required=True,

@@ -36,11 +36,6 @@ class ParamPoly:
     def const(cls, c: int) -> "ParamPoly":
         return cls((c,))
 
-    @classmethod
-    def d_plus(cls, c: int) -> "ParamPoly":
-        """The linear polynomial d + c."""
-        return cls((c, 1))
-
     # -- basic queries -----------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -170,11 +165,6 @@ class ParamPoly:
 
     def __repr__(self) -> str:
         return f"ParamPoly({list(self.coeffs)!r})"
-
-
-ZERO = ParamPoly()
-ONE = ParamPoly.const(1)
-D = ParamPoly((0, 1))
 
 
 def binomial(n: int, k: int) -> int:

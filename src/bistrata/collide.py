@@ -10,19 +10,15 @@ system.
 Colliding two ordinary multiple points of multiplicities p+1 >= q+1 along a
 line produces a single linear singularity whose diagram has vertices
 (p+1, 0), (q+1, p-q), (0, p+q+2); the excess intersection supported on the
-merged locus carries multiplicity q+1.  These results, together with the
-tangency degrees of the cone-killing degeneration, are encoded here as data.
+merged locus carries multiplicity q+1.  These results are encoded here as
+data.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
-
-TANGENCY_SIMPLE_COINCIDENCE = "simple-coincidence"  # the connecting line equals a multiplicity-1 tangent
-TANGENCY_GENERIC_LINE = "generic-line"              # the connecting line misses every tangent
-TANGENCY_MULTIPLE_COINCIDENCE = "multiple-coincidence"  # it equals a tangent of multiplicity >= 2
+from typing import Iterable
 
 
 @dataclass(frozen=True)
@@ -115,13 +111,6 @@ class NewtonDiagram:
         """The same staircase with the two coordinates swapped."""
         return NewtonDiagram(tuple((b, a) for a, b in reversed(self.vertices)))
 
-    def to_json(self) -> dict:
-        return {"vertices": [[a, b] for a, b in self.vertices]}
-
-    @classmethod
-    def from_json(cls, data) -> "NewtonDiagram":
-        return cls(tuple((int(a), int(b)) for a, b in data["vertices"]))
-
 
 @dataclass(frozen=True)
 class SingularitySpec:
@@ -164,19 +153,6 @@ class SingularitySpec:
     @classmethod
     def from_diagram(cls, nd: NewtonDiagram) -> "SingularitySpec":
         return cls("diagram", (), nd)
-
-    @property
-    def multiplicity(self) -> int:
-        if self.kind == "omp":
-            return self.mults[0]
-        if self.kind == "cusp":
-            return self.mults[0]
-        if self.kind == "kbranch":
-            return sum(self.mults)
-        if self.kind == "diagram":
-            assert self.diagram is not None
-            return self.diagram.multiplicity
-        raise ValueError(f"unsupported kind {self.kind!r}")
 
     @property
     def determinacy_order(self) -> int:
@@ -252,23 +228,6 @@ def residual_multiplicity(p: int, q: int) -> int:
     if not p >= q >= 1:
         raise ValueError(f"need p >= q >= 1, got ({p}, {q})")
     return q + 1
-
-
-def tangency_degree(case: str) -> int | None:
-    """Contact order of the cone-killing divisor along a residual component.
-
-    The descriptor states how the connecting line meets the tangent cone at
-    the merged point; None means the component does not contribute to the
-    class equation at all.
-    """
-    table = {
-        TANGENCY_SIMPLE_COINCIDENCE: 1,
-        TANGENCY_GENERIC_LINE: 2,
-        TANGENCY_MULTIPLE_COINCIDENCE: None,
-    }
-    if case not in table:
-        raise ValueError(f"unknown line-coincidence descriptor {case!r}")
-    return table[case]
 
 
 def is_linear(nd: NewtonDiagram) -> bool:

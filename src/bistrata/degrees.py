@@ -1,4 +1,5 @@
-"""Gysin extraction, degree assembly and the reference-formula catalog.
+"""Gysin extraction, the degree of a stratum, closed-form recovery and the
+reference-formula catalog.
 
 The degree of a stratum is the coefficient of the top monomial in the
 auxiliary generators (exponent truncation-1 on each), divided by the order
@@ -10,7 +11,7 @@ fractional prefactors that must clear on integer inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -64,38 +65,17 @@ def gysin_degree(s: StratumClass) -> DegreeResult:
     return DegreeResult(raw, s.aut_order, s.valid_from_d, s.route)
 
 
-def _with_tangent_incidence(s: StratumClass) -> StratumClass:
-    """Multiply in the point-on-tangent-line incidence a bare product omits."""
-    amb = s.ambient
-    return StratumClass(s.cls * incidence_class(amb, "X", "L"),
-                        s.aut_order, s.valid_from_d, s.route)
+def stratum_degree(sx: SingularitySpec, sy: SingularitySpec | None = None) -> DegreeResult:
+    """Enumerative degree of the stratum of one type, or of an unordered pair.
 
-
-def single_point_degree(sx: SingularitySpec) -> DegreeResult:
-    """Enumerative degree of the one-point stratum of a supported type.
-
-    Cusp and diagram strata come bare of the point-on-tangent incidence,
-    which is multiplied in here.
+    The stratum comes from ``stratum_for``, with the same supported types
+    and pairs.  A single cusp or diagram stratum comes bare of the
+    point-on-tangent incidence, which is multiplied in here.
     """
-    s = stratum_for(sx)
-    if sx.canonical().kind in ("cusp", "diagram"):
-        s = _with_tangent_incidence(s)
+    s = stratum_for(sx, sy)
+    if sy is None and sx.canonical().kind in ("cusp", "diagram"):
+        s = replace(s, cls=s.cls * incidence_class(s.ambient, "X", "L"))
     return gysin_degree(s)
-
-
-def pair_degree(sx: SingularitySpec, sy: SingularitySpec) -> DegreeResult:
-    """Enumerative degree of the two-point stratum; the pair is unordered.
-
-    The supported pairs are those of ``stratum_for``: two ordinary points,
-    or a cusp or marked-branch type beside a node.
-    """
-    return gysin_degree(stratum_for(sx, sy))
-
-
-def assemble_two_point_degree(sx: DegreeResult, sy: DegreeResult,
-                              s_joint: DegreeResult) -> ParamPoly:
-    """Product-plus-correction form: deg(x) * deg(y) + connected part."""
-    return sx.degree * sy.degree + s_joint.degree
 
 
 @dataclass(frozen=True)
@@ -111,7 +91,6 @@ class ClosedForm:
 
     p_base: int
     grid: tuple[tuple[int, ...], ...]
-    samples: tuple[tuple[int, ParamPoly], ...]
     holdout: int
 
     def at_p(self, p0: int) -> ParamPoly:
@@ -137,18 +116,14 @@ def closed_form_in_p(family: Callable[[int], ParamPoly],
     """
     if p_end - p_start + 1 < 2:
         raise InterpolationError("need at least two samples")
-    samples = []
-    for p0 in range(p_start, p_end + 1):
-        value = family(p0)
-        samples.append((p0, value.shifted(p0)))  # d = z + p0
+    level = [family(p0).shifted(p0) for p0 in range(p_start, p_end + 1)]  # d = z + p0
     rows = []
-    level = [poly for _, poly in samples]
     while level:
         rows.append(level[0].coeffs)
         level = [b - a for a, b in zip(level, level[1:])]
     while len(rows) > 1 and not rows[-1]:
         rows.pop()
-    form = ClosedForm(p_start, tuple(rows), tuple(samples), p_end + 1)
+    form = ClosedForm(p_start, tuple(rows), p_end + 1)
     if form.at_p(form.holdout) != family(form.holdout):
         raise InterpolationError(
             f"held-out sample at p={form.holdout} disagrees: degree bound too low")
@@ -385,11 +360,4 @@ def reference_tacnodal_pair(p: int) -> ParamPoly:
     if p <= 2:
         raise ValueError("the type needs p > 2")
     nd = NewtonDiagram.from_points([(p, 0), (2, p - 2), (0, p + 2)])
-    return single_point_degree(SingularitySpec.from_diagram(nd)).degree
-
-
-def formula_by_key(key: str) -> ReferenceFormula:
-    for formula in REFERENCE_FORMULAS:
-        if formula.key == key:
-            return formula
-    raise KeyError(key)
+    return stratum_degree(SingularitySpec.from_diagram(nd)).degree

@@ -63,6 +63,14 @@ def omp_stratum(p: int) -> StratumClass:
     return StratumClass(cls, aut_order=1, valid_from_d=p + 1, route="complete intersection")
 
 
+def _branch_symmetry(mults: tuple[int, ...]) -> int:
+    """Order of the deck symmetry permuting branches of equal multiplicity."""
+    aut = 1
+    for value in set(mults):
+        aut *= math.factorial(mults.count(value))
+    return aut
+
+
 def kbranch_stratum(*mults: int) -> StratumClass:
     """Pairwise non-tangent branches with tangent cone l1^p1 .. lk^pk.
 
@@ -97,10 +105,8 @@ def kbranch_stratum(*mults: int) -> StratumClass:
         acc = acc + base ** (m_big - 1 - j) * cone_pow
     for name in names:
         acc = acc * incidence_class(ambient, "X", name)
-    aut = 1
-    for value in set(mults):
-        aut *= math.factorial(mults.count(value))
-    return StratumClass(acc, aut_order=aut, valid_from_d=spec.determinacy_order,
+    return StratumClass(acc, aut_order=_branch_symmetry(mults),
+                        valid_from_d=spec.determinacy_order,
                         route="marked-branch product")
 
 
@@ -177,7 +183,7 @@ def two_omp_stratum(p: int, q: int) -> StratumClass:
 
     The construction is asymmetric, so p < q is rejected rather than
     silently swapped; callers wanting an unordered pair sort the
-    multiplicities first (the degree layer does).
+    multiplicities first (``stratum_for`` does).
     """
     if q < 1:
         raise ValueError("q must be >= 1")
@@ -189,30 +195,6 @@ def two_omp_stratum(p: int, q: int) -> StratumClass:
     cls = _two_omp_product(ambient, p, q)
     return StratumClass(cls, aut_order=2 if p == q else 1,
                         valid_from_d=p + q + 2, route="two-point product")
-
-
-def chipping_product(p: int, q: int, d0: int) -> CohClass:
-    """Degeneration forcing the connecting line to split off as a component.
-
-    Product of the d0-q-1-p divisors that raise the contact of the curve
-    with the line through both points until the line is forced in.  The
-    number of factors depends on the numeric degree d0, so a symbolic d is
-    not meaningful here; d0 must be at least p+q+2.
-    """
-    if not p >= q >= 1:
-        raise ValueError(f"need p >= q >= 1, got ({p}, {q})")
-    if d0 < p + q + 2:
-        raise ValueError(f"degree {d0} below p+q+2 = {p + q + 2}: empty product")
-    ambient = VarSpec.projective(("X", "Y", "L"))
-    exceptional = exceptional_class(ambient)
-    factors = []
-    for k in range(p + 1, d0 - q):
-        linear = CohClass.divisor(ambient, 1, {
-            "X": ParamPoly.const(d0 - k),
-            "Y": ParamPoly.const(k),
-        })
-        factors.append(linear - exceptional.scaled(k + q + 1))
-    return product_of(factors)
 
 
 def stratum_for(sx: SingularitySpec, sy: SingularitySpec | None = None) -> StratumClass:
@@ -254,11 +236,6 @@ def stratum_for(sx: SingularitySpec, sy: SingularitySpec | None = None) -> Strat
     raise ValueError(
         f"unsupported pair ({sx.describe()}, {sy.describe()}): two ordinary "
         "points, or a cusp/kbranch type beside a node, are available")
-
-
-def solve_degeneration(rhs: CohClass, kill: CohClass) -> CohClass:
-    """Undo a cone-killing degeneration: the unique class with cls * kill == rhs."""
-    return rhs.divide_exact(kill)
 
 
 # -- degeneration recursion for a node partner ---------------------------------
@@ -315,6 +292,7 @@ def node_pair_recursion_parts(sx: SingularitySpec):
     merged = diagonal_class(ambient, "X", "Y", 2)
     s1 = _diagram_product(residual_tangency_one_diagram(p), ambient)
     s1 = s1 * incidence_class(ambient, "X", "L") * marked
+    # the kill divisor has tangency degree 2 along the generic-line locus
     rhs = degenerate + (merged * s1).scaled(2)
 
     simple_lines = [name for name, mult in cone_pairs if mult == 1]
@@ -323,6 +301,7 @@ def node_pair_recursion_parts(sx: SingularitySpec):
         # only the marked-line incidences enter; adding (X+L) as well would
         # overshoot the codimension by one.
         s2 = _diagram_product(residual_tangency_two_diagram(p), ambient) * marked
+        # tangency degree 1 along each simple-tangent coincidence
         for name in simple_lines:
             rhs = rhs + diagonal_class(ambient, "L", name, 2) * merged * s2
     return rhs, kill, ambient, names
@@ -331,11 +310,10 @@ def node_pair_recursion_parts(sx: SingularitySpec):
 def node_pair_stratum(sx: SingularitySpec) -> StratumClass:
     """Lifted stratum of sx at one point and a node at another, by recursion."""
     rhs, kill, ambient, names = node_pair_recursion_parts(sx)
-    cls = solve_degeneration(rhs, kill)
+    cls = rhs.divide_exact(kill)
     aut = 1
     if sx.kind == "kbranch":
-        for value in set(sx.mults):
-            aut *= math.factorial(list(sx.mults).count(value))
+        aut = _branch_symmetry(sx.mults)
         if sx.mults == (1, 1):
             aut *= 2  # both points are then plain nodes, unordered
     valid = sx.determinacy_order + 2

@@ -91,6 +91,23 @@ def test_degree_below_validity_warns_but_succeeds():
     assert "below the validity bound" in err
 
 
+def test_table_warns_once_per_cell_below_validity():
+    code, out, err = run_cli("table", "--family", "two-omp", "--p-range", "1..6", "--d", "4")
+    assert code == 0
+    # the formal values, negative ones included, are printed as before
+    assert out == ("family,p,q,d,degree\ntwo-omp,1,1,4,225\ntwo-omp,2,1,4,324\n"
+                   "two-omp,3,1,4,-300\ntwo-omp,4,1,4,0\ntwo-omp,5,1,4,-19530\n"
+                   "two-omp,6,1,4,-185640\n")
+    assert err.splitlines() == [
+        f"warning: two-omp p={p} q=1: d=4 is below the validity bound d >= {p + 3}; "
+        "the value is formal" for p in range(2, 7)]
+    code, _, err = run_cli("table", "--family", "omp", "--p-range", "1..3", "--d", "3")
+    assert code == 0
+    assert err == "warning: omp p=3: d=3 is below the validity bound d >= 4; the value is formal\n"
+    code, _, err = run_cli("table", "--family", "two-omp", "--p-range", "1..6", "--d", "40")
+    assert code == 0 and err == ""
+
+
 def test_collide_output():
     code, out, _ = run_cli("collide", "--x", "omp:4", "--y", "omp:2",
                            "--format", "json")

@@ -5,13 +5,9 @@ import pytest
 from bistrata.collide import (
     NewtonDiagram,
     SingularitySpec,
-    TANGENCY_GENERIC_LINE,
-    TANGENCY_MULTIPLE_COINCIDENCE,
-    TANGENCY_SIMPLE_COINCIDENCE,
     collide_omp,
     is_linear,
     residual_multiplicity,
-    tangency_degree,
 )
 from bistrata.strata import stratum_for
 
@@ -50,14 +46,6 @@ def test_residual_multiplicity():
             assert 0 < residual_multiplicity(p, q) <= collide_omp(p, q).multiplicity
     with pytest.raises(ValueError):
         residual_multiplicity(1, 2)
-
-
-def test_tangency_degrees():
-    assert tangency_degree(TANGENCY_SIMPLE_COINCIDENCE) == 1
-    assert tangency_degree(TANGENCY_GENERIC_LINE) == 2
-    assert tangency_degree(TANGENCY_MULTIPLE_COINCIDENCE) is None
-    with pytest.raises(ValueError):
-        tangency_degree("skew")
 
 
 def test_is_linear_examples():
@@ -101,12 +89,6 @@ def test_kill_points_of_cusp_diagram():
 
 def test_kill_points_of_collision_diagram():
     assert collide_omp(2, 1).kill_points() == [(0, 3), (0, 4), (1, 2)]
-
-
-def test_json_round_trip():
-    nd = collide_omp(3, 1)
-    assert NewtonDiagram.from_json(nd.to_json()) == nd
-    assert nd.to_json() == {"vertices": [[0, 6], [2, 2], [4, 0]]}
 
 
 def test_singularity_spec_validation():

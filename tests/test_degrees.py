@@ -8,18 +8,15 @@ from bistrata.coeffring import InterpolationError, ParamPoly, binomial
 from bistrata.collide import NewtonDiagram, SingularitySpec, is_linear
 from bistrata.degrees import (
     DegreeResult,
-    assemble_two_point_degree,
     closed_form_in_p,
     gysin_degree,
-    pair_degree,
     reference_cusp_with_smooth_contact,
     reference_kbranch,
     reference_omp,
     reference_pair_correction,
     reference_two_omp,
-    single_point_degree,
+    stratum_degree,
     REFERENCE_FORMULAS,
-    formula_by_key,
 )
 from bistrata.strata import kbranch_stratum, node_pair_stratum, omp_stratum, two_omp_stratum
 
@@ -57,24 +54,24 @@ def test_two_route_equality(p, q):
 
 
 def test_pair_degree_is_order_insensitive():
-    a = pair_degree(SingularitySpec.omp(4), SingularitySpec.omp(2))
-    b = pair_degree(SingularitySpec.omp(2), SingularitySpec.omp(4))
+    a = stratum_degree(SingularitySpec.omp(4), SingularitySpec.omp(2))
+    b = stratum_degree(SingularitySpec.omp(2), SingularitySpec.omp(4))
     assert a == b
-    a = pair_degree(SingularitySpec.cusp(3), SingularitySpec.omp(2))
-    b = pair_degree(SingularitySpec.omp(2), SingularitySpec.cusp(3))
+    a = stratum_degree(SingularitySpec.cusp(3), SingularitySpec.omp(2))
+    b = stratum_degree(SingularitySpec.omp(2), SingularitySpec.cusp(3))
     assert a == b
 
 
 def test_pair_degree_rejects_unsupported_combinations():
     with pytest.raises(ValueError):
-        pair_degree(SingularitySpec.cusp(2), SingularitySpec.cusp(2))
+        stratum_degree(SingularitySpec.cusp(2), SingularitySpec.cusp(2))
     with pytest.raises(ValueError):
-        pair_degree(SingularitySpec.cusp(2), SingularitySpec.omp(3))
+        stratum_degree(SingularitySpec.cusp(2), SingularitySpec.omp(3))
 
 
 def test_single_point_degrees_match_catalog():
     for p in range(1, 8):
-        got = single_point_degree(SingularitySpec.omp(p + 1))
+        got = stratum_degree(SingularitySpec.omp(p + 1))
         assert got.degree == reference_omp(p)
     for mults in [(1, 1), (2, 1), (2, 2), (3, 1), (2, 1, 1)]:
         got = gysin_degree(kbranch_stratum(*mults))
@@ -82,35 +79,27 @@ def test_single_point_degrees_match_catalog():
 
 
 def test_cusp_single_point_degree():
-    got = single_point_degree(SingularitySpec.cusp(2))
+    got = stratum_degree(SingularitySpec.cusp(2))
     assert got.degree == 12 * dminus(1) * dminus(2)
     # one marked branch is the same stratum through the branch formula
     for p in (2, 3, 4):
-        assert single_point_degree(SingularitySpec.cusp(p)).degree \
+        assert stratum_degree(SingularitySpec.cusp(p)).degree \
             == reference_kbranch((p,))
 
 
-def test_assemble_two_point_degree():
-    sx = single_point_degree(SingularitySpec.omp(3))
-    sy = single_point_degree(SingularitySpec.omp(2))
-    joint = DegreeResult(reference_pair_correction("omp-node", 2), 1, 5, "catalog")
-    assembled = assemble_two_point_degree(sx, sy, joint)
-    assert assembled == reference_two_omp(2, 1)
-    # zero correction is the plain product
-    zero = DegreeResult(ParamPoly(), 1, 5, "none")
-    assert assemble_two_point_degree(sx, sy, zero) == sx.degree * sy.degree
-
-
-def test_assemble_matches_direct_route_at_sample_point():
-    direct = pair_degree(SingularitySpec.omp(3), SingularitySpec.omp(2))
-    sx = single_point_degree(SingularitySpec.omp(3))
-    sy = single_point_degree(SingularitySpec.omp(2))
-    joint = DegreeResult(reference_pair_correction("omp-node", 2), 1, 5, "catalog")
-    assert assemble_two_point_degree(sx, sy, joint)(8) == direct.value_at(8)
+def test_two_point_degree_is_product_plus_correction():
+    # deg(omp:p+1, node) = deg(omp:p+1) * deg(node) + S, with S the printed connected part
+    for p in range(1, 9):
+        assert reference_omp(p) * reference_omp(1) \
+            + reference_pair_correction("omp-node", p) == reference_two_omp(p, 1)
+    triple, node = SingularitySpec.omp(3), SingularitySpec.omp(2)
+    product = stratum_degree(triple).degree * stratum_degree(node).degree
+    assert stratum_degree(triple, node).degree \
+        == product + reference_pair_correction("omp-node", 2)
 
 
 def test_closed_form_families():
-    fam = lambda p: single_point_degree(SingularitySpec.omp(p + 1)).degree
+    fam = lambda p: stratum_degree(SingularitySpec.omp(p + 1)).degree
     form = closed_form_in_p(fam, 1, 7)
     ref = closed_form_in_p(reference_omp, 1, 7)
     assert form.grid == ref.grid and form.p_base == ref.p_base
@@ -124,8 +113,8 @@ def test_closed_form_catches_insufficient_samples():
 
 
 def test_reference_catalog_integrality_spot():
-    for key in ("omp-node", "cusp-node", "cusp-branch-node", "tacnodal-pair-node"):
-        formula = formula_by_key(key)
+    keys = ("omp-node", "cusp-node", "cusp-branch-node", "tacnodal-pair-node")
+    for formula in (f for f in REFERENCE_FORMULAS if f.key in keys):
         for p, q in formula.domain(5, 5):
             poly = formula.evaluate(p, q)
             v0 = formula.validity(p, q)
@@ -159,16 +148,16 @@ def test_smooth_contact_family_diverges_from_printed_row():
     }
     for p, want in frozen.items():
         nd = NewtonDiagram.from_points([(p, 0), (1, p), (0, p + 2)])
-        got = single_point_degree(SingularitySpec.from_diagram(nd))
+        got = stratum_degree(SingularitySpec.from_diagram(nd))
         assert got.degree == want
         assert got.degree != reference_cusp_with_smooth_contact(p)
 
 
 def test_degree_values_nonnegative_in_validity_range():
     cases = [
-        single_point_degree(SingularitySpec.cusp(3)),
-        pair_degree(SingularitySpec.omp(3), SingularitySpec.omp(3)),
-        pair_degree(SingularitySpec.kbranch(2, 1), SingularitySpec.omp(2)),
+        stratum_degree(SingularitySpec.cusp(3)),
+        stratum_degree(SingularitySpec.omp(3), SingularitySpec.omp(3)),
+        stratum_degree(SingularitySpec.kbranch(2, 1), SingularitySpec.omp(2)),
     ]
     for res in cases:
         for d in range(res.valid_from_d, res.valid_from_d + 6):
@@ -199,7 +188,7 @@ def diagram_spec(*points):
     (diagram_spec((0, 4), (3, 0)), 21 * dminus(3) * ParamPoly((-9, 4))),
 ], ids=["A1", "A2", "A3", "D4", "E6"])
 def test_classical_single_point_degrees(spec, want):
-    got = single_point_degree(spec)
+    got = stratum_degree(spec)
     assert got.aut_applied == 1
     assert got.degree == want
 
@@ -207,19 +196,19 @@ def test_classical_single_point_degrees(spec, want):
 def test_two_nodes_polynomial_identity():
     # Kleiman-Piene, Enumerating singular curves on surfaces (1999):
     # (3/2)(d-1)(d-2)(3d^2-3d-11) binodal curves
-    got = pair_degree(SingularitySpec.omp(2), SingularitySpec.omp(2))
+    got = stratum_degree(SingularitySpec.omp(2), SingularitySpec.omp(2))
     assert got.aut_applied == 2
     assert got.degree == 3 * dminus(1) * dminus(2) * (3 * D ** 2 - 3 * D - 11)
 
 
 def test_mirrored_diagram_gives_the_same_degree():
     # the tacnode with its tangent on the horizontal axis is the same type
-    a3 = single_point_degree(diagram_spec((0, 4), (2, 0)))
-    assert single_point_degree(diagram_spec((0, 2), (4, 0))) == a3
+    a3 = stratum_degree(diagram_spec((0, 4), (2, 0)))
+    assert stratum_degree(diagram_spec((0, 2), (4, 0))) == a3
     # the lowest jet x1 x2^2 (and its mirror) puts tangents on both axes
     for points in (((0, 4), (1, 2), (4, 0)), ((0, 4), (2, 1), (4, 0))):
         with pytest.raises(ValueError, match="both axes"):
-            single_point_degree(diagram_spec(*points))
+            stratum_degree(diagram_spec(*points))
         out, err = io.StringIO(), io.StringIO()
         spec = diagram_spec(*points).describe()
         assert main(["degree", "--x", spec], out, err) == 1
@@ -228,14 +217,14 @@ def test_mirrored_diagram_gives_the_same_degree():
 
 
 def test_homogeneous_diagram_is_an_ordinary_point():
-    got = single_point_degree(diagram_spec((0, 3), (3, 0)))
-    assert got == single_point_degree(SingularitySpec.omp(3))
+    got = stratum_degree(diagram_spec((0, 3), (3, 0)))
+    assert got == stratum_degree(SingularitySpec.omp(3))
     assert got.degree == 15 * dminus(2) ** 2
 
 
 def test_diagram_with_both_axes_tangent_is_refused():
     with pytest.raises(ValueError, match="both axes"):
-        single_point_degree(diagram_spec((0, 3), (1, 1), (3, 0)))
+        stratum_degree(diagram_spec((0, 3), (1, 1), (3, 0)))
 
 
 @pytest.mark.parametrize("p", range(2, 7))
@@ -243,7 +232,7 @@ def test_diagram_chain_equals_marked_branch_product(p):
     # (0,p+2),(p,1),(p+1,0) is the Newton diagram of the tangent cone
     # l1^p l2 with a generic next jet: the diagram chain against the
     # closed marked-branch product
-    got = single_point_degree(diagram_spec((0, p + 2), (p, 1), (p + 1, 0)))
+    got = stratum_degree(diagram_spec((0, p + 2), (p, 1), (p + 1, 0)))
     assert got.degree == reference_kbranch((p, 1))
 
 
@@ -265,7 +254,7 @@ def linear_commode_diagrams(draw):
 
 def _degree_or_refused(nd):
     try:
-        return single_point_degree(SingularitySpec.from_diagram(nd))
+        return stratum_degree(SingularitySpec.from_diagram(nd))
     except ValueError as exc:
         assert "both axes" in str(exc)
         return None

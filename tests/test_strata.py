@@ -6,9 +6,8 @@ from bistrata.coeffring import ParamPoly, binomial
 from bistrata.cohring import CohClass, VarSpec
 from bistrata.collide import NewtonDiagram, SingularitySpec, collide_omp
 from bistrata.degrees import gysin_degree, reference_kbranch, reference_two_omp
-from bistrata.divisors import exceptional_class, incidence_class
+from bistrata.divisors import incidence_class
 from bistrata.strata import (
-    chipping_product,
     cone_line_names,
     cusp_stratum,
     diagram_stratum,
@@ -16,7 +15,6 @@ from bistrata.strata import (
     node_pair_recursion_parts,
     node_pair_stratum,
     omp_stratum,
-    solve_degeneration,
     stratum_for,
     two_omp_stratum,
 )
@@ -148,43 +146,19 @@ def test_two_omp_equal_multiplicities_has_even_values():
             assert raw(d) % 2 == 0
 
 
-def test_chipping_product_single_factor():
-    got = chipping_product(1, 1, 4)
-    amb = VarSpec.projective(("X", "Y", "L"))
-    want = (CohClass.divisor(amb, 1, {"X": 2, "Y": 2})
-            - exceptional_class(amb).scaled(4))
-    assert got == want
-
-
-def test_chipping_bound_arithmetic():
-    # at the minimal degree the product has exactly one factor
-    for p, q in [(1, 1), (2, 1), (3, 2)]:
-        d0 = p + q + 2
-        assert chipping_product(p, q, d0).total_degree == 1
-        assert chipping_product(p, q, d0 + 3).total_degree == 4
-    with pytest.raises(ValueError):
-        chipping_product(1, 1, 3)
-
-
-def test_chipping_smoke_multiplication():
-    # construction-only check: the factors multiply against the stratum class
-    cls = two_omp_stratum(1, 1).cls * chipping_product(1, 1, 5)
-    assert cls.total_degree == two_omp_stratum(1, 1).cls.total_degree + 2
-
-
 def test_solve_degeneration_round_trip():
     amb = VarSpec.projective(("X", "Y", "L", "L1"))
     kill = CohClass.divisor(amb, 1, {"X": dminus(2), "L1": -2})
     target = (incidence_class(amb, "X", "L") * incidence_class(amb, "Y", "L")
               * CohClass.divisor(amb, 1, {"X": dminus(1), "L": 1}) ** 3)
     rhs = target * kill
-    assert solve_degeneration(rhs, kill) == target
+    assert rhs.divide_exact(kill) == target
 
 
 def test_recursion_parts_are_consistent():
     rhs, kill, ambient, names = node_pair_recursion_parts(SingularitySpec.cusp(3))
     assert names == ("L1",)
-    cls = solve_degeneration(rhs, kill)
+    cls = rhs.divide_exact(kill)
     assert cls * kill == rhs
     s = node_pair_stratum(SingularitySpec.cusp(3))
     assert s.cls == cls
