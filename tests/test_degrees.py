@@ -87,15 +87,24 @@ def test_cusp_single_point_degree():
             == reference_kbranch((p,))
 
 
-def test_two_point_degree_is_product_plus_correction():
+def test_assemble_two_point_degree():
     # deg(omp:p+1, node) = deg(omp:p+1) * deg(node) + S, with S the printed connected part
     for p in range(1, 9):
         assert reference_omp(p) * reference_omp(1) \
             + reference_pair_correction("omp-node", p) == reference_two_omp(p, 1)
+    # the class-route single-point degrees assemble the same way
+    product = stratum_degree(SingularitySpec.omp(3)).degree \
+        * stratum_degree(SingularitySpec.omp(2)).degree
+    assert product + reference_pair_correction("omp-node", 2) == reference_two_omp(2, 1)
+
+
+def test_assemble_matches_direct_route_at_sample_point():
     triple, node = SingularitySpec.omp(3), SingularitySpec.omp(2)
+    direct = stratum_degree(triple, node)
     product = stratum_degree(triple).degree * stratum_degree(node).degree
-    assert stratum_degree(triple, node).degree \
-        == product + reference_pair_correction("omp-node", 2)
+    assembled = product + reference_pair_correction("omp-node", 2)
+    assert direct.degree == assembled
+    assert assembled(8) == direct.value_at(8)
 
 
 def test_closed_form_families():
