@@ -24,7 +24,7 @@ import sys
 from .collide import NewtonDiagram, SingularitySpec, collide_omp, is_linear, residual_multiplicity
 from .degrees import DegreeResult, stratum_degree
 from .strata import stratum_for
-from .verify import run_suite
+from .verify import SUITES, run_suite
 
 
 class SpecError(ValueError):
@@ -247,9 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_table, formats=("csv", "json"))
 
     p_verify = sub.add_parser("verify", help="run identity suites")
-    p_verify.add_argument("--suite", default="all",
-                          choices=("ring", "corollary", "appendix",
-                                   "recursion", "interpolation", "all"))
+    p_verify.add_argument("--suite", default="all", choices=(*SUITES, "all"))
     add_common(p_verify, formats=("text",))
 
     p_collide = sub.add_parser("collide", help="merge two ordinary points")

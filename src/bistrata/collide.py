@@ -148,6 +148,8 @@ class SingularitySpec:
     def kbranch(cls, *mults: int) -> "SingularitySpec":
         if not mults or any(m < 1 for m in mults):
             raise ValueError("branch multiplicities must be positive")
+        if sum(mults) < 2:
+            raise ValueError("a marked-branch type needs total multiplicity >= 2")
         return cls("kbranch", tuple(mults))
 
     @classmethod

@@ -8,14 +8,16 @@ the connecting line, L1.. for tangent-cone lines.
 
 Three construction routes appear:
 
-* closed-form products (ordinary points, marked-branch types, cusps,
-  two ordinary points);
+* closed-form products (ordinary points, cusps, two ordinary points);
 * diagram products: multiplicity conditions times one vertex-erasing
   divisor per lattice point missing under the Newton staircase;
-* the degeneration recursion: kill the tangent cone, subtract the residual
-  classes supported over the merged-points locus, and divide the class
-  equation back.  The division is exact because the killing divisor is
-  F + (nilpotent part).
+* the cone-kill division: killing the tangent cone raises the multiplicity
+  from p to p+1, so the class is an ordinary-point class divided by the
+  killing divisor.  Marked-branch types divide the ordinary-point
+  conditions with their incidences; the degeneration recursion beside a
+  node first subtracts the residual classes supported over the
+  merged-points locus.  The division is exact because the killing divisor
+  is F + (nilpotent part).
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .coeffring import ParamPoly, binomial
+from .coeffring import ParamPoly
 from .cohring import CohClass, VarSpec, product_of
 from .collide import NewtonDiagram, SingularitySpec, is_linear
 from .divisors import (
@@ -74,38 +76,28 @@ def _branch_symmetry(mults: tuple[int, ...]) -> int:
 def kbranch_stratum(*mults: int) -> StratumClass:
     """Pairwise non-tangent branches with tangent cone l1^p1 .. lk^pk.
 
-    The lifting traces the point and all k tangent lines; the class is the
-    product of the incidences with the proportionality class of the p-th
-    derivative tensor against the symmetrized cone:
+    The lifting traces the point and all k tangent lines.  Killing the
+    tangent cone raises the multiplicity from p to p+1, so the class is the
+    ordinary-point conditions times the incidences, divided by the kill
+    divisor:
 
-        prod(X + L_i) * sum_j (F + (d-p)X)^(M-1-j) * (sum p_i L_i)^j,
+        (F + (d-p)X)^M * prod(X + L_i) / (F + (d-p)X - sum p_i L_i),
 
-    M = binomial(p+2, 2).  Identical branch multiplicities are permuted by
-    the deck symmetry, recorded in aut_order.
+    M = binomial(p+2, 2).  The quotient is the geometric sum
+    sum_j (F + (d-p)X)^(M-1-j) * (sum p_i L_i)^j times the incidences,
+    because (sum p_i L_i)^M = 0 once each L_i^3 = 0 and M > 2k.  Multiplying
+    by the kill divisor is injective on bounded classes, so ``divide_exact``
+    finds that quotient and checks it by multiplying back.  Identical branch
+    multiplicities are permuted by the deck symmetry, recorded in aut_order.
     """
     spec = SingularitySpec.kbranch(*mults)
-    k = len(mults)
     p = sum(mults)
-    names = cone_line_names(k)
+    names = cone_line_names(len(mults))
     ambient = VarSpec.projective(("X",) + names)
-    m_big = binomial(p + 2, 2)
-    base = CohClass.divisor(ambient, 1, {"X": ParamPoly((-p, 1))})
-    cone_sum = CohClass(ambient, 1, {
-        ambient.exponent({name: 1}): ParamPoly.const(mult)
-        for name, mult in zip(names, mults)
-    })
-    acc = CohClass.zero(ambient, m_big - 1)
-    # cone_sum lives in the L_i alone and each L_i^3 = 0, so cone_sum^j = 0
-    # for j > 2k: the geometric sum stops there.  The cone powers grow by one
-    # factor per step; base^n has at most three terms, so it is recomputed.
-    cone_pow = CohClass.one(ambient)
-    for j in range(min(m_big, 2 * k + 1)):
-        if j:
-            cone_pow = cone_pow * cone_sum
-        acc = acc + base ** (m_big - 1 - j) * cone_pow
-    for name in names:
-        acc = acc * incidence_class(ambient, "X", name)
-    return StratumClass(acc, aut_order=_branch_symmetry(mults),
+    conditions = product_of([omp_conditions_class(ambient, p)]
+                            + [incidence_class(ambient, "X", name) for name in names])
+    cls = conditions.divide_exact(kill_tangent_cone_class(ambient, p, list(zip(names, mults))))
+    return StratumClass(cls, aut_order=_branch_symmetry(mults),
                         valid_from_d=spec.determinacy_order,
                         route="marked-branch product")
 
@@ -283,8 +275,7 @@ def node_pair_recursion_parts(sx: SingularitySpec):
     cone_pairs = list(zip(names, cone))
 
     kill = kill_tangent_cone_class(ambient, p, cone_pairs)
-    marked = product_of([incidence_class(ambient, "X", name) for name in names]) \
-        if names else CohClass.one(ambient)
+    marked = product_of([incidence_class(ambient, "X", name) for name in names])
 
     # cone killed: an ordinary point of multiplicity p+1 beside the node
     degenerate = _two_omp_product(ambient, p, 1) * marked

@@ -234,6 +234,14 @@ def test_repeated_calls_are_independent(tmp_path, monkeypatch):
     assert forward[6][1] == "" and forward[6][3].startswith("family,p,q,d,degree\n")
 
 
+def test_smooth_kbranch_is_a_usage_error():
+    # one branch of multiplicity 1 is a smooth point, refused like omp:1
+    for argv in (("--x", "kbranch:1"), ("--x", "kbranch:1", "--y", "omp:2")):
+        code, out, err = run_cli("degree", *argv)
+        assert (code, out) == (2, "")
+        assert "total multiplicity >= 2" in err
+
+
 def test_domain_error_exit_code():
     code, _, err = run_cli("degree", "--x", "cusp:2", "--y", "cusp:2")
     assert code == 1

@@ -100,6 +100,8 @@ def test_singularity_spec_validation():
         SingularitySpec.kbranch()
     with pytest.raises(ValueError):
         SingularitySpec.kbranch(2, 0)
+    with pytest.raises(ValueError):
+        SingularitySpec.kbranch(1)
 
 
 def test_determinacy_orders():

@@ -63,7 +63,8 @@ def untruncated_kbranch_class(mults):
     return acc
 
 
-@pytest.mark.parametrize("mults", [(1, 1), (2, 1), (1, 1, 1), (2, 1, 1)])
+@pytest.mark.parametrize("mults", [(1, 1), (2, 1), (1, 1, 1), (2, 1, 1), (3, 1), (3, 2),
+                                   (2, 2, 1), (1, 1, 1, 1), (2, 2, 1, 1)])
 def test_kbranch_truncated_sum_equals_full_sum(mults):
     assert kbranch_stratum(*mults).cls == untruncated_kbranch_class(mults)
 
