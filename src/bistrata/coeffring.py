@@ -9,7 +9,11 @@ polynomial is zero.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+import re
+from typing import Iterable
+
+# a coefficient entry of the JSON schema: an optionally signed ASCII decimal integer
+_DECIMAL = re.compile(r"[+-]?[0-9]+")
 
 
 class InterpolationError(ValueError):
@@ -139,7 +143,18 @@ class ParamPoly:
         return [str(c) for c in self.coeffs]
 
     @classmethod
-    def from_json(cls, data: Sequence[str]) -> "ParamPoly":
+    def from_json(cls, data: list[str]) -> "ParamPoly":
+        """Inverse of ``to_json``; every entry must be a decimal string.
+
+        A JSON number, a bool or any other string (``int`` would accept
+        floats, ``true``, whitespace and underscores) raises ValueError, so
+        outside input never truncates into a plausible coefficient.
+        """
+        if not isinstance(data, list):
+            raise ValueError(f"coefficient must be a JSON array, got {data!r}")
+        for s in data:
+            if not (isinstance(s, str) and _DECIMAL.fullmatch(s)):
+                raise ValueError(f"coefficient entry must be a decimal string, got {s!r}")
         return cls(int(s) for s in data)
 
     def __str__(self) -> str:

@@ -19,23 +19,27 @@ negation or scaling keeps each exponent, and a product adds exponents, drops
 every monomial that reaches a truncation, and adds the total degrees, so
 sum(exp) <= total_degree holds again.  They only drop zero coefficients.
 
-Products run on a fused kernel (``CohClass.__mul__``).  Each output monomial
-owns one plain list of integers, its coefficient row, and every pair of
-input terms convolves its two coefficient polynomials straight into the row
-of their product monomial; one ParamPoly per output monomial is built at
-the end.  Exponents are packed into integers inside the product only, with
-one field per generator and a guard bit on top of each field (see
-``VarSpec._layout``), so the truncation test of a term pair is one addition
-and one mask.  The public key of ``terms`` stays the exponent tuple: JSON,
-coefficient lookup and grading read tuples, and a product builds each
-output tuple once, when its monomial first appears.
+Products run on one kernel (``CohClass.__mul__``) that uses Kronecker
+substitution in d: each coefficient polynomial is packed once per product
+into a single integer, its value at d = 2^w, with a field width w chosen
+from the operands so that no output coefficient can overflow its field.  A
+surviving pair of input terms then costs one big-integer multiply and one
+addition into the packed row of its product monomial, and each finished
+row is read back into signed w-bit digits and becomes one ParamPoly through
+the public constructor.  Exponents are packed into integers inside the
+product only, with one field per generator and a guard bit on top of each
+field (see ``VarSpec._layout``), so the truncation test of a term pair is
+one addition and one mask.  The public key of ``terms`` stays the exponent
+tuple: JSON, coefficient lookup and grading read tuples, and a product
+decodes each output tuple once from its packed key.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from operator import add, lshift
+from itertools import chain
+from operator import lshift
 from typing import Iterable, Mapping, Sequence
 
 from .coeffring import ParamPoly
@@ -117,6 +121,18 @@ def _coerce_poly(value) -> ParamPoly:
     if isinstance(value, int):
         return ParamPoly.const(value)
     raise TypeError(f"coefficient must be ParamPoly or int, not {value!r}")
+
+
+def _packed(exps: Iterable[tuple[int, ...]], coeffs: Iterable[tuple[int, ...]],
+            shifts: tuple[int, ...], offset: int, w: int) -> list[tuple[int, int]]:
+    """(packed exponent + offset, coefficient value at d = 2^w) per term."""
+    out = []
+    for e, cs in zip(exps, coeffs):
+        v = 0
+        for c in reversed(cs):  # Horner from the top coefficient down
+            v = (v << w) + c
+        out.append((sum(map(lshift, e, shifts)) + offset, v))
+    return out
 
 
 class CohClass:
@@ -220,45 +236,70 @@ class CohClass:
                         {e: c * poly for e, c in self.terms.items()}, _checked=False)
 
     def __mul__(self, other: "CohClass") -> "CohClass":
-        """Product: every surviving term pair convolves into one row per monomial.
+        """Product by Kronecker substitution: one integer multiply per term pair.
 
         Exponents are packed by ``VarSpec._layout``: a pair dies to the
         truncations iff its biased packed sum hits a guard bit.  The packed
-        sum of a surviving pair keys the row of its output monomial, whose
-        tuple is built only when the row is created.  Coefficient
-        polynomials are convolved into the row with plain integers, zero
-        entries of the left coefficient skipped, and the row grows when a
-        longer product arrives; no ParamPoly exists until each finished row
-        becomes one through the public constructor.
+        sum of a surviving pair keys the row of its output monomial; the
+        monomial's exponent tuple is decoded from that key once, less the
+        bias, when the finished row is stored.
+
+        Each coefficient polynomial c_0 + c_1 d + ... is packed as its value
+        at d = 2^w, so the product of two packed coefficients is the packed
+        product polynomial and a row is the packed sum of its pairs' products.
+        With b1 and b2 the largest coefficient bit lengths of the two
+        operands, n the shorter of their longest coefficient tuples and P the
+        smaller of their term counts (a bound on the pairs that reach one
+        output monomial, since a left exponent and the output exponent fix
+        the right one), every output coefficient r is a sum of at most n*P
+        products of absolute value below 2^(b1+b2), so
+
+            |r| < n*P * 2^(b1+b2) <= 2^(w-1)  for  w = b1 + b2 + bitlen(n*P) + 1.
+
+        Each row is therefore read back exactly as balanced base-2^w digits
+        in [-2^(w-1), 2^(w-1)), lowest first; a row whose packed sum is 0 is
+        a cancelled monomial and is dropped.  No ParamPoly exists until each
+        finished row becomes one through the public constructor.
         """
         self._require_same_ambient(other)
+        total_degree = self.total_degree + other.total_degree
+        if not self.terms or not other.terms:
+            return CohClass(self.ambient, total_degree, {}, _checked=False)
         shifts, bias, guard = self.ambient._layout
-        left = [(sum(map(lshift, e, shifts)) + bias, e, c.coeffs)
-                for e, c in self.terms.items()]
-        right = [(sum(map(lshift, e, shifts)), e, c.coeffs, len(c.coeffs) - 1)
-                 for e, c in other.terms.items()]
-        rows: dict[int, list[int]] = {}
-        exps: dict[int, tuple[int, ...]] = {}
-        for p1, e1, ca in left:
-            len1 = len(ca)
-            for p2, e2, cb, extra in right:
+        lcoeffs = [c.coeffs for c in self.terms.values()]
+        rcoeffs = [c.coeffs for c in other.terms.values()]
+        n = min(max(map(len, lcoeffs)), max(map(len, rcoeffs)))
+        w = (max(map(abs, chain.from_iterable(lcoeffs))).bit_length()
+             + max(map(abs, chain.from_iterable(rcoeffs))).bit_length()
+             + (n * min(len(lcoeffs), len(rcoeffs))).bit_length() + 1)
+        left = _packed(self.terms, lcoeffs, shifts, bias, w)
+        right = _packed(other.terms, rcoeffs, shifts, 0, w)
+        rows: dict[int, int] = {}
+        get = rows.get
+        for p1, a in left:
+            for p2, b in right:
                 key = p1 + p2
                 if key & guard:
                     continue  # nilpotent: the monomial dies
-                size = len1 + extra
-                row = rows.get(key)
-                if row is None:
-                    exps[key] = tuple(map(add, e1, e2))
-                    row = rows[key] = [0] * size
-                elif len(row) < size:
-                    row.extend([0] * (size - len(row)))
-                for i, a in enumerate(ca):
-                    if a:
-                        for j, b in enumerate(cb, i):
-                            row[j] += a * b
-        out = {exps[key]: ParamPoly(row) for key, row in rows.items()}
-        return CohClass(self.ambient, self.total_degree + other.total_degree, out,
-                        _checked=False)
+                rows[key] = get(key, 0) + a * b
+        mask = (1 << w) - 1
+        half = 1 << (w - 1)
+        full = 1 << w
+        field = ((guard & -guard) << 1) - 1  # one exponent field: its guard bit and below
+        out = {}
+        for key, v in rows.items():
+            if not v:
+                continue  # every coefficient cancelled
+            row = []
+            while v:
+                c = v & mask
+                if c >= half:
+                    c -= full
+                row.append(c)
+                v = (v - c) >> w
+            key -= bias
+            out[tuple([(key >> s) & field for s in shifts])] = ParamPoly(row)
+        return CohClass(self.ambient, total_degree, out, _checked=False)
 
     def __pow__(self, n: int) -> "CohClass":
         if n < 0:
@@ -290,7 +331,9 @@ class CohClass:
     def coefficient(self, monomial) -> ParamPoly:
         """ParamPoly coefficient of a monomial; zero if absent.
 
-        ``monomial`` is an exponent tuple or a {name: exponent} mapping.
+        ``monomial`` is an exponent tuple or a {name: exponent} mapping.  An
+        exponent that no class can hold (wrong arity, negative, or at a
+        truncation) raises ValueError instead of reading as zero.
         """
         if isinstance(monomial, Mapping):
             exp = self.ambient.exponent(monomial)
@@ -299,6 +342,8 @@ class CohClass:
         truncs = self.ambient.truncations
         if len(exp) != len(truncs):
             raise ValueError(f"exponent {exp} has wrong arity")
+        if any(e < 0 for e in exp):
+            raise ValueError(f"negative exponent in {exp}")
         if any(e >= t for e, t in zip(exp, truncs)):
             raise ValueError(f"monomial {exp} exceeds truncations {truncs}")
         return self.terms.get(exp, ParamPoly())

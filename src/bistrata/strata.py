@@ -153,6 +153,11 @@ def diagram_stratum(nd: NewtonDiagram) -> StratumClass:
 
 def _two_omp_product(ambient: VarSpec, p: int, q: int) -> CohClass:
     """Product form of the two ordinary points class over x, y and the line."""
+    return product_of(_two_omp_factors(ambient, p, q))
+
+
+def _two_omp_factors(ambient: VarSpec, p: int, q: int) -> list[CohClass]:
+    """The factors of ``_two_omp_product``: incidences, conditions, linear factors."""
     exceptional = exceptional_class(ambient)
     factors = [
         incidence_class(ambient, "X", "L"),
@@ -167,7 +172,7 @@ def _two_omp_product(ambient: VarSpec, p: int, q: int) -> CohClass:
                 "L": ParamPoly.const(-j),
             })
             factors.append(linear - exceptional.scaled(p + 1 + i - j))
-    return product_of(factors)
+    return factors
 
 
 def two_omp_stratum(p: int, q: int) -> StratumClass:

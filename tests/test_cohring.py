@@ -72,6 +72,23 @@ def test_from_json_rejects_malformed_terms():
                     terms=[{"exps": exps, "coeff": ["1"]}])
         with pytest.raises((ValueError, KeyError)):
             CohClass.from_json(data)
+    # coefficients are decimal strings: int() would truncate 2.9 to 2 and
+    # read true as 1, a plausible wrong class
+    for coeff in ([2.9], [True], [1], ["0x10"], ["1_000"], [" 7"], ["2.9"], ["٣"], "12"):
+        data = dict(good, terms=[{"exps": {"X": 1}, "coeff": coeff}])
+        with pytest.raises(ValueError):
+            CohClass.from_json(data)
+    signed = dict(good, terms=[{"exps": {"X": 1}, "coeff": ["+3", "-0", "007"]}])
+    assert CohClass.from_json(signed) == divisor(XL, 0, X=ParamPoly((3, 0, 7)))
+
+
+def test_coefficient_rejects_exponents_no_class_holds():
+    c = divisor(XL, 1, X=2, L=-1)
+    assert c.coefficient({"X": 1}) == ParamPoly.const(2)
+    assert c.coefficient((0, 2)) == ParamPoly()
+    for monomial in ((-1, 0), {"X": -1}, (0, 3), (1,)):
+        with pytest.raises(ValueError):
+            c.coefficient(monomial)
 
 
 def test_nilpotency():
@@ -241,11 +258,18 @@ def test_balanced_product_matches_sequential():
     assert product_of(factors) == seq
 
 
-# -- the fused product kernel against a naive reference ----------------------
+# -- the Kronecker product kernel against a naive reference ------------------
 
 KERNEL_TRUNCS = (1, 2, 3, 4, 5, 9)
-# interior zeros such as [2, 0, -1] and small values, so that products cancel
-kernel_poly = st.lists(st.integers(-2, 2), min_size=1, max_size=4).map(ParamPoly)
+# field-edge values +-2^k and +-(2^k - 1): a packed digit at the limit of its field
+edge_int = st.builds(lambda k, less, sign: sign * ((1 << k) - less),
+                     st.integers(0, 130), st.integers(0, 1), st.sampled_from((1, -1)))
+kernel_poly = st.one_of(
+    # interior zeros such as [2, 0, -1] and small values, so that products cancel
+    st.lists(st.integers(-2, 2), min_size=1, max_size=4),
+    st.lists(st.one_of(st.integers(-2, 2), edge_int, st.integers(-2 ** 130, 2 ** 130)),
+             min_size=1, max_size=8),
+).map(ParamPoly)
 
 
 @st.composite
@@ -286,6 +310,27 @@ def test_product_matches_naive_reference(data):
     assert got == naive_product(a, b)
     assert got == b * a
     assert_revalidates(got)
+
+
+@pytest.mark.parametrize("sign", (1, -1))
+@pytest.mark.parametrize("ambient, exps", [
+    (VarSpec((("G", 9),)), [(k,) for k in range(9)]),
+    (VarSpec.projective(("G", "H")), [(i, j) for i in range(3) for j in range(3)]),
+], ids=("one generator", "two generators"))
+def test_product_at_extreme_field_width(ambient, exps, sign):
+    # the last exponent gets all 9 term pairs, and every contribution to its
+    # d^6 coefficient has the same sign and the largest magnitude: 63 = 2^6 - 1
+    # products of (2^100 - 1)^2, just under the kernel's field bound
+    # 2^(w-1) = 2^206, so a field one bit narrower overflows
+    big = (1 << 100) - 1
+    poly = ParamPoly([big] * 7)
+    total = sum(exps[-1])
+    a = CohClass(ambient, total, {e: poly for e in exps})
+    b = CohClass(ambient, total, {e: poly * sign for e in exps})
+    got = a * b
+    assert got.coefficient(exps[-1]).coeffs[6] == sign * 63 * big ** 2
+    assert got == naive_product(a, b)
+    assert got == b * a
 
 
 def test_product_drops_cancelled_monomials():

@@ -1,8 +1,10 @@
 """Byte identity of ``class --format json`` on the heavy strata.
 
-The digests were recorded before the fused product kernel replaced the
-term-by-term one; any change to a coefficient, an exponent, the term order
-or the JSON layout changes them.
+The digests were recorded with the term-by-term product kernel, before the
+row-convolution kernel and then the Kronecker-substituted one (packed
+coefficients, one integer multiply per term pair) replaced it; any change
+to a coefficient, an exponent, the term order or the JSON layout changes
+them.
 """
 
 import hashlib

@@ -82,6 +82,13 @@ def test_node_pair_six_lines_reaches_reference():
     assert gysin_degree(s).degree == math.factorial(6) * reference_two_omp(5, 1)
 
 
+def test_node_pair_seven_lines_reaches_reference():
+    # the same identity at 1^7: 11,872 terms with coefficients of up to 34
+    # bits, the largest class in this suite that an independent form checks
+    s = node_pair_stratum(SingularitySpec.kbranch(*[1] * 7))
+    assert gysin_degree(s).degree == math.factorial(7) * reference_two_omp(6, 1)
+
+
 def test_cusp_stratum_structure():
     s = cusp_stratum(2)
     # (F+(d-1)X)^3 (F+(d-4)X+2L) (F+(d-3)X)
