@@ -22,9 +22,9 @@ from bistrata.coeffring import ParamPoly
 from bistrata.cohring import CohClass, VarSpec, product_of
 from bistrata.collide import SingularitySpec
 from bistrata.degrees import gysin_degree
-from bistrata.divisors import omp_conditions_class
-from bistrata.strata import (_two_omp_factors, _two_omp_product, kbranch_stratum,
-                             node_pair_recursion_parts)
+from bistrata.divisors import incidence_class, kill_tangent_cone_class, omp_conditions_class
+from bistrata.strata import (_two_omp_factors, _two_omp_product, cone_line_names,
+                             kbranch_stratum, node_pair_recursion_parts, node_pair_stratum)
 
 XYL = VarSpec.projective(("X", "Y", "L"))
 
@@ -81,6 +81,25 @@ def test_product_of(benchmark):
     factors = _two_omp_factors(XYL, 6, 3)
     assert len(factors) == 13
     assert benchmark(product_of, factors) == _two_omp_product(XYL, 6, 3)
+
+
+def test_divide_cusp_node_pair(benchmark):
+    # the small end of the division: cusp:9 beside a node
+    rhs, kill, _, _ = node_pair_recursion_parts(SingularitySpec.cusp(9))
+    quotient = benchmark(rhs.divide_exact, kill)
+    assert quotient == node_pair_stratum(SingularitySpec.cusp(9)).cls
+
+
+def test_divide_kbranch_conditions(benchmark):
+    # kbranch (3,1,1,1,1): the ordinary-point conditions and incidences
+    # divided by the cone-kill divisor, as kbranch_stratum does
+    mults = (3, 1, 1, 1, 1)
+    names = cone_line_names(len(mults))
+    ambient = VarSpec.projective(("X",) + names)
+    conditions = product_of([omp_conditions_class(ambient, sum(mults))]
+                            + [incidence_class(ambient, "X", name) for name in names])
+    kill = kill_tangent_cone_class(ambient, sum(mults), list(zip(names, mults)))
+    assert benchmark(conditions.divide_exact, kill) == kbranch_stratum(*mults).cls
 
 
 def test_divide_exact(benchmark, node_pair_parts):

@@ -147,17 +147,27 @@ TABLE_FAMILIES = {
 
 
 def _table_rows(args, err) -> list[tuple[str, int, object, int, int]]:
-    """Rows in (p, q) order; a cell below its validity bound warns on err."""
+    """Rows in (p, q) order; a cell below its validity bound warns on err.
+
+    A --q-range given to a family that does not read q, or ranges that hold
+    no cell, raise SpecError: the table would ignore them without a word.
+    """
+    least_p, reads_q, pair_of = TABLE_FAMILIES[args.family]
+    if args.q_range and not reads_q:
+        raise SpecError(f"family {args.family} takes no --q-range")
     p_lo, p_hi = parse_range(args.p_range)
     q_lo, q_hi = parse_range(args.q_range) if args.q_range else (1, 1)
-    least_p, reads_q, pair_of = TABLE_FAMILIES[args.family]
+    cells = [(p, q) for p in range(max(p_lo, least_p), p_hi + 1)
+             for q in (range(q_lo, min(p, q_hi) + 1) if reads_q else ("",))]
+    if not cells:
+        bounds = f"p >= {least_p}" + (" and q <= p" if reads_q else "")
+        raise SpecError(f"the ranges hold no cell of family {args.family} ({bounds})")
     rows = []
-    for p in range(max(p_lo, least_p), p_hi + 1):
-        for q in range(q_lo, min(p, q_hi) + 1) if reads_q else ("",):
-            result = stratum_degree(*pair_of(p, q))
-            cell = f"{args.family} p={p}" + (f" q={q}" if reads_q else "")
-            _below_validity(result, args.d, err, cell + ": ")
-            rows.append((args.family, p, q, args.d, result.value_at(args.d)))
+    for p, q in cells:
+        result = stratum_degree(*pair_of(p, q))
+        cell = f"{args.family} p={p}" + (f" q={q}" if reads_q else "")
+        _below_validity(result, args.d, err, cell + ": ")
+        rows.append((args.family, p, q, args.d, result.value_at(args.d)))
     return rows
 
 

@@ -32,6 +32,15 @@ field (see ``VarSpec._layout``), so the truncation test of a term pair is
 one addition and one mask.  The public key of ``terms`` stays the exponent
 tuple: JSON, coefficient lookup and grading read tuples, and a product
 decodes each output tuple once from its packed key.
+
+Division by a divisor F + N (``CohClass.divide_exact``) runs on the same
+packed integers.  The dividend and N are packed once, at one field width
+taken from a bound on the quotient's coefficients that its docstring
+proves; each visible level of the quotient is then solved with integer
+multiplies and subtractions only, and the quotient is read back once at
+the end.  Packing (``_packed``) and reading back (``_unpacked``) have one
+implementation each, shared by the product and the division.  The quotient
+is checked by multiplying it back through the product kernel.
 """
 
 from __future__ import annotations
@@ -49,6 +58,11 @@ class ExactDivisionError(ArithmeticError):
     """A class division that should be exact left a remainder."""
 
 
+def _is_int(value) -> bool:
+    """An int that is not a bool: the only exponent, degree or truncation."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class VarSpec:
     """Ordered nilpotent generators (name, truncation)."""
@@ -56,12 +70,16 @@ class VarSpec:
     generators: tuple[tuple[str, int], ...]
 
     def __post_init__(self):
+        for name, trunc in self.generators:
+            if not isinstance(name, str):
+                raise ValueError(f"generator name must be a string, got {name!r}")
+            if not _is_int(trunc):
+                raise ValueError(f"truncation of {name} must be an integer, got {trunc!r}")
+            if trunc < 1:
+                raise ValueError(f"truncation of {name} must be >= 1, got {trunc}")
         names = [n for n, _ in self.generators]
         if len(set(names)) != len(names):
             raise ValueError(f"generator names must be unique: {names}")
-        for name, trunc in self.generators:
-            if trunc < 1:
-                raise ValueError(f"truncation of {name} must be >= 1, got {trunc}")
 
     @classmethod
     def projective(cls, names: Iterable[str]) -> "VarSpec":
@@ -135,6 +153,36 @@ def _packed(exps: Iterable[tuple[int, ...]], coeffs: Iterable[tuple[int, ...]],
     return out
 
 
+def _unpacked(rows: Iterable[tuple[int, int]], layout: tuple[tuple[int, ...], int, int],
+              w: int) -> dict[tuple[int, ...], ParamPoly]:
+    """Exponent tuple -> ParamPoly of each nonzero (biased packed exponent, value).
+
+    Each value is read back as balanced base-2^w digits in
+    [-2^(w-1), 2^(w-1)), lowest first, which is exact when every coefficient
+    lies in that range; a value of 0 is a cancelled monomial and is dropped.
+    The exponent tuple is decoded from the key once, less the bias.
+    """
+    shifts, bias, guard = layout
+    mask = (1 << w) - 1
+    half = 1 << (w - 1)
+    full = 1 << w
+    field = ((guard & -guard) << 1) - 1  # one exponent field: its guard bit and below
+    out = {}
+    for key, v in rows:
+        if not v:
+            continue  # every coefficient cancelled
+        row = []
+        while v:
+            c = v & mask
+            if c >= half:
+                c -= full
+            row.append(c)
+            v = (v - c) >> w
+        key -= bias
+        out[tuple([(key >> s) & field for s in shifts])] = ParamPoly(row)
+    return out
+
+
 class CohClass:
     """An element of the truncated ring, graded by total_degree."""
 
@@ -144,6 +192,7 @@ class CohClass:
                  terms: Mapping[tuple[int, ...], ParamPoly], *, _checked: bool = True):
         """Class with the given terms; zero coefficients are dropped.
 
+        total_degree and every exponent entry must be an int (not a bool).
         Every exponent must have one entry per generator, each in
         [0, truncation), and sum to at most total_degree (the implicit F
         exponent is non-negative).  ``_checked=False`` is for the ring
@@ -155,6 +204,8 @@ class CohClass:
         if not _checked:
             self.terms = {e: c for e, c in terms.items() if c.coeffs}
             return
+        if not _is_int(total_degree):
+            raise ValueError(f"total_degree must be an integer, got {total_degree!r}")
         if total_degree < 0:
             raise ValueError("total_degree must be non-negative")
         cleaned: dict[tuple[int, ...], ParamPoly] = {}
@@ -165,6 +216,8 @@ class CohClass:
                 continue
             if len(exp) != len(truncs):
                 raise ValueError(f"exponent {exp} has wrong arity for {ambient.names}")
+            if not all(map(_is_int, exp)):
+                raise ValueError(f"exponent {exp} must hold integers")
             if any(e < 0 for e in exp):
                 raise ValueError(f"negative exponent in {exp}")
             if any(e >= t for e, t in zip(exp, truncs)):
@@ -256,16 +309,16 @@ class CohClass:
 
             |r| < n*P * 2^(b1+b2) <= 2^(w-1)  for  w = b1 + b2 + bitlen(n*P) + 1.
 
-        Each row is therefore read back exactly as balanced base-2^w digits
-        in [-2^(w-1), 2^(w-1)), lowest first; a row whose packed sum is 0 is
-        a cancelled monomial and is dropped.  No ParamPoly exists until each
-        finished row becomes one through the public constructor.
+        Each row is therefore read back exactly by ``_unpacked``; a row whose
+        packed sum is 0 is a cancelled monomial and is dropped.  No ParamPoly
+        exists until each finished row becomes one through the public
+        constructor.
         """
         self._require_same_ambient(other)
         total_degree = self.total_degree + other.total_degree
         if not self.terms or not other.terms:
             return CohClass(self.ambient, total_degree, {}, _checked=False)
-        shifts, bias, guard = self.ambient._layout
+        layout = shifts, bias, guard = self.ambient._layout
         lcoeffs = [c.coeffs for c in self.terms.values()]
         rcoeffs = [c.coeffs for c in other.terms.values()]
         n = min(max(map(len, lcoeffs)), max(map(len, rcoeffs)))
@@ -282,24 +335,8 @@ class CohClass:
                 if key & guard:
                     continue  # nilpotent: the monomial dies
                 rows[key] = get(key, 0) + a * b
-        mask = (1 << w) - 1
-        half = 1 << (w - 1)
-        full = 1 << w
-        field = ((guard & -guard) << 1) - 1  # one exponent field: its guard bit and below
-        out = {}
-        for key, v in rows.items():
-            if not v:
-                continue  # every coefficient cancelled
-            row = []
-            while v:
-                c = v & mask
-                if c >= half:
-                    c -= full
-                row.append(c)
-                v = (v - c) >> w
-            key -= bias
-            out[tuple([(key >> s) & field for s in shifts])] = ParamPoly(row)
-        return CohClass(self.ambient, total_degree, out, _checked=False)
+        return CohClass(self.ambient, total_degree, _unpacked(rows.items(), layout, w),
+                        _checked=False)
 
     def __pow__(self, n: int) -> "CohClass":
         if n < 0:
@@ -366,10 +403,36 @@ class CohClass:
 
             a_L = self_L - a_(L-1) * N,    a_(-1) = 0,
 
-        one product with N per level, accumulated into a single dict.  The
-        product a * b is then compared with self: a nonzero remainder means
-        the defining equation was inconsistent and raises
-        ExactDivisionError.
+        for L = 0 .. min(t_quot, sum(t_i - 1)), with t_quot = total_degree - 1
+        and t_i the truncations: no exponent of a lies above either.
+
+        The whole recursion runs on Kronecker-packed integers.  The dividend
+        and N are packed once at d = 2^w, with exponents packed as in
+        ``__mul__`` (a pair dies to the truncations iff its biased packed sum
+        hits a guard bit); each level starts from the packed dividend terms
+        of that level and subtracts one big-integer product per surviving
+        pair of an a_(L-1) term and an N term.  Packing is evaluation at
+        d = 2^w, a ring map, so the packed a_L are exact for every w; w only
+        has to make the single read-back of the quotient exact, that is
+        |c| < 2^(w-1) for every integer coefficient c of every a_L.
+
+        The bound.  Let r be the L1 norm of N (the sum of |c| over every term
+        of N and every power of d), S_L the largest |coefficient| of self at
+        visible level L, and B_L = S_L + r*B_(L-1) with B_(-1) = 0.  Then
+        every coefficient of a_L is at most B_L in absolute value.  By
+        induction on L: the d^k coefficient of a_(L-1)*N at the monomial e is
+        a sum over the terms u of N and the powers d^j of N's coefficients,
+        of a_(L-1)[e - u][d^(k-j)] * N[u][d^j].  The pair (u, j) fixes both
+        factors, so each coefficient of N appears at most once, and the sum
+        is at most r*B_(L-1) in absolute value; the dividend's coefficient
+        adds at most S_L.  With w = max(B_L).bit_length() + 1 every
+        coefficient satisfies |c| <= B_L < 2^(w-1).
+
+        The unpacked quotient is then multiplied back by b through
+        ``__mul__`` and compared with self.  That product is independent of
+        the packed recursion, so a nonzero remainder (the defining equation
+        was inconsistent, or a field overflowed) raises ExactDivisionError
+        instead of returning a wrong quotient.
         """
         self._require_same_ambient(b)
         if b.total_degree != 1:
@@ -382,21 +445,37 @@ class CohClass:
         if self.total_degree < 1:
             raise ExactDivisionError("dividend has total_degree 0")
         ambient = self.ambient
-        nilpotent = CohClass(ambient, 1,
-                             {e: c for e, c in b.terms.items() if e != zero_exp},
-                             _checked=False)
-        target = self.graded_parts()
+        layout = shifts, bias, guard = ambient._layout
         t_quot = self.total_degree - 1
-        quotient_terms: dict[tuple[int, ...], ParamPoly] = {}
-        level_cls = CohClass.zero(ambient, t_quot)
-        for level in range(0, t_quot + 1):
-            terms = target.get(level, {})
-            if level_cls.terms:
-                for exp, coeff in (level_cls * nilpotent).terms.items():
-                    terms[exp] = terms[exp] - coeff if exp in terms else -coeff
-            level_cls = CohClass(ambient, t_quot, terms, _checked=False)
-            quotient_terms.update(level_cls.terms)
-        quotient = CohClass(ambient, t_quot, quotient_terms, _checked=False)
+        parts = self.graded_parts()
+        levels = [parts.get(level, {})
+                  for level in range(min(t_quot, sum(ambient.top_exponent())) + 1)]
+        nilpotent = {e: c.coeffs for e, c in b.terms.items() if e != zero_exp}
+        r = sum(map(abs, chain.from_iterable(nilpotent.values())))
+        bound = widest = 0
+        for part in levels:
+            peak = max(map(abs, chain.from_iterable(c.coeffs for c in part.values())), default=0)
+            bound = peak + r * bound
+            widest = max(widest, bound)
+        w = widest.bit_length() + 1
+        right = _packed(nilpotent, nilpotent.values(), shifts, 0, w)
+        solved: list[tuple[int, int]] = []
+        below: list[tuple[int, int]] = []  # packed a_(L-1)
+        for part in levels:
+            rows = dict(_packed(part, [c.coeffs for c in part.values()], shifts, bias, w))
+            get = rows.get
+            for p1, a in below:
+                for p2, c in right:
+                    key = p1 + p2
+                    if key & guard:
+                        continue  # nilpotent: the monomial dies
+                    rows[key] = get(key, 0) - a * c
+            below = [(key, v) for key, v in rows.items() if v]
+            solved += below
+        quotient = CohClass(ambient, t_quot, _unpacked(solved, layout, w), _checked=False)
+        # the packed rows are dead: free them, so the check product's own
+        # packing does not raise the peak memory of a division
+        del levels, solved, below, rows
         if quotient * b != self:
             raise ExactDivisionError("division left a nonzero remainder")
         return quotient

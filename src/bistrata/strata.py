@@ -298,8 +298,8 @@ def node_pair_recursion_parts(sx: SingularitySpec):
         # overshoot the codimension by one.
         s2 = _diagram_product(residual_tangency_two_diagram(p), ambient) * marked
         # tangency degree 1 along each simple-tangent coincidence
-        for name in simple_lines:
-            rhs = rhs + diagonal_class(ambient, "L", name, 2) * merged * s2
+        diagonals = [diagonal_class(ambient, "L", name, 2) for name in simple_lines]
+        rhs = rhs + sum(diagonals[1:], diagonals[0]) * (merged * s2)
     return rhs, kill, ambient, names
 
 

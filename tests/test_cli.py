@@ -160,6 +160,23 @@ def test_table_writes_file(tmp_path):
     assert "omp,1,,6,75" in content  # 3(d-1)^2 at d=6
 
 
+@pytest.mark.parametrize("argv, message", [
+    # every q exceeds every p, so no cell keeps q <= p: a bare header, exit 0
+    (("--family", "two-omp", "--p-range", "1..2", "--q-range", "3..4"), "no cell"),
+    (("--family", "cusp", "--p-range", "1..1"), "no cell"),
+    # a one-parameter family would ignore the range without a word
+    (("--family", "omp", "--p-range", "1..3", "--q-range", "5..9"), "takes no --q-range"),
+    (("--family", "cusp-node", "--p-range", "2..3", "--q-range", "1..1"), "takes no --q-range"),
+])
+def test_table_refuses_ranges_it_would_ignore(tmp_path, argv, message):
+    code, out, err = run_cli("table", *argv, "--d", "10")
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error: ") and message in err
+    target = tmp_path / "table.csv"
+    assert run_cli("table", *argv, "--d", "10", "--out", str(target))[0] == 2
+    assert not target.exists()
+
+
 def test_verify_suite_exits_zero():
     code, out, _ = run_cli("verify", "--suite", "corollary")
     assert code == 0

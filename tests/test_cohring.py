@@ -47,6 +47,10 @@ def test_varspec_rejects_duplicates_and_bad_truncation():
         VarSpec((("X", 3), ("X", 3)))
     with pytest.raises(ValueError):
         VarSpec((("X", 0),))
+    # names are strings and truncations ints, not floats or bools
+    for generators in ((("X", 3.0),), (("X", True),), ((b"X", 3),), ((None, 3),)):
+        with pytest.raises(ValueError):
+            VarSpec(generators)
 
 
 def test_reduced_form_is_enforced():
@@ -62,6 +66,10 @@ def test_reduced_form_is_enforced():
         CohClass(XL, -1, {})
     with pytest.raises(TypeError):
         CohClass(XL, 1, {(1, 0): 1.5})
+    # the total degree and every exponent entry are ints, not floats or bools
+    for total, exp in ((2.0, (1, 0)), (False, (0, 0)), (2, (1.0, 0)), (2, (0, True))):
+        with pytest.raises(ValueError):
+            CohClass(XL, total, {exp: ParamPoly.const(1)})
     assert CohClass(XL, 1, {(1, 0): 0, (0, 1): ParamPoly()}).is_zero()
 
 
@@ -80,6 +88,28 @@ def test_from_json_rejects_malformed_terms():
             CohClass.from_json(data)
     signed = dict(good, terms=[{"exps": {"X": 1}, "coeff": ["+3", "-0", "007"]}])
     assert CohClass.from_json(signed) == divisor(XL, 0, X=ParamPoly((3, 0, 7)))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("total_degree", 2.5),  # printed as (2)*F^1.5*X
+    ("total_degree", True),
+    ("exps", {"X": True}),  # stored as the key (True, 0)
+    ("exps", {"X": 1.0}),  # the first square raised TypeError
+    ("trunc", 3.0),  # the first square raised AttributeError
+    ("trunc", True),
+    ("name", 7),
+    ("name", ["X"]),  # unhashable: must not reach the uniqueness check
+])
+def test_from_json_requires_integer_fields(field, value):
+    data = divisor(XL, 1, X=2).to_json()
+    if field == "total_degree":
+        data["total_degree"] = value
+    elif field == "exps":
+        data["terms"] = [{"exps": value, "coeff": ["2"]}]
+    else:
+        data["variables"] = [dict(data["variables"][0], **{field: value}), data["variables"][1]]
+    with pytest.raises(ValueError):
+        CohClass.from_json(data)
 
 
 def test_coefficient_rejects_exponents_no_class_holds():
@@ -351,3 +381,91 @@ def test_product_with_truncation_one_generator():
     x = CohClass.generator(amb, "X")
     assert (x * x).terms == {(2, 0): ParamPoly.const(1)}
     assert (x * x * x).is_zero()
+
+
+# -- the packed division kernel against a naive reference ---------------------
+
+def naive_quotient(c, b):
+    """Level-by-level solution of a * b == c with ParamPoly arithmetic.
+
+    b = F + N: the part of a at visible level L is c_L - a_(L-1) * N.
+    """
+    ambient = c.ambient
+    zero = tuple([0] * len(ambient.generators))
+    nilpotent = CohClass(ambient, 1, {e: p for e, p in b.terms.items() if e != zero})
+    total = c.total_degree - 1
+    solved, below = {}, CohClass.zero(ambient, total)
+    for level in range(total + 1):
+        terms = {e: p for e, p in c.terms.items() if sum(e) == level}
+        for e, p in naive_product(below, nilpotent).terms.items():
+            terms[e] = terms.get(e, ParamPoly()) - p
+        below = CohClass(ambient, total, terms)
+        solved.update(below.terms)
+    return CohClass(ambient, total, solved)
+
+
+@settings(max_examples=120)
+@given(st.data())
+def test_division_matches_naive_reference(data):
+    ambient = data.draw(kernel_ambients())
+    a = data.draw(kernel_classes(ambient))
+    parts = data.draw(st.fixed_dictionaries(
+        {name: st.one_of(st.just(ParamPoly()), kernel_poly)
+         for name, trunc in ambient.generators if trunc > 1}))
+    b = CohClass.divisor(ambient, 1, parts)
+    if a.is_zero():
+        return
+    c = a * b
+    assert c.divide_exact(b) == a == naive_quotient(c, b)
+
+
+@settings(max_examples=80)
+@given(st.data())
+def test_division_with_remainder_matches_naive_reference(data):
+    # a dividend drawn freely is rarely a multiple of b; the packed levels
+    # must still agree with the reference, and the check must refuse them
+    ambient = data.draw(st.sampled_from((XL, XYL, VarSpec((("G", 5),)))))
+    c = data.draw(kernel_classes(ambient))
+    b = CohClass.divisor(ambient, 1, data.draw(st.fixed_dictionaries(
+        {name: kernel_poly for name in ambient.names})))
+    if c.is_zero() or c.total_degree < 1:
+        return
+    reference = naive_quotient(c, b)
+    if naive_product(reference, b) == c:
+        assert c.divide_exact(b) == reference
+    else:
+        with pytest.raises(ExactDivisionError):
+            c.divide_exact(b)
+
+
+@pytest.mark.parametrize("c", (1, -2, 3, -7))
+def test_division_at_tight_bound(c):
+    # S*F^9 / (F + c*G) = sum_k S*(-c)^k F^(8-k) G^k, and G^9 = 0.  The G^8
+    # coefficient S*|c|^8 equals the kernel's bound B_8 = S*r^8 (r = |c|),
+    # so a field one bit narrower, or a bound without r, overflows.
+    ambient = VarSpec((("G", 9),))
+    s = (1 << 100) - 1
+    b = CohClass.divisor(ambient, 1, {"G": c})
+    quotient = CohClass(ambient, 9, {(0,): s}).divide_exact(b)
+    assert quotient.coefficient((8,)).coeffs == (s * abs(c) ** 8,)
+    assert quotient == CohClass(ambient, 8, {(k,): s * (-c) ** k for k in range(9)})
+
+
+def test_divide_exact_checks_by_multiplying_back(monkeypatch):
+    # the levels are solved on packed integers; the only class product is
+    # the check, the unpacked quotient times the divisor through __mul__
+    b = divisor(XYL, 1, X=ParamPoly((-4, 1)), Y=-3, L=2)
+    factors = [divisor(XYL, 1, X=ParamPoly((-k, 1)), Y=k, L=k % 3 - 1) for k in range(1, 6)]
+    dividend = product_of(factors + [b])
+    calls = []
+    product = CohClass.__mul__
+
+    def spy(left, right):
+        calls.append((left, right))
+        return product(left, right)
+
+    monkeypatch.setattr(CohClass, "__mul__", spy)
+    quotient = dividend.divide_exact(b)
+    assert len(calls) == 1 and calls[0][0] is quotient and calls[0][1] is b
+    monkeypatch.undo()
+    assert quotient == product_of(factors)

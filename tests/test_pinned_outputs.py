@@ -2,9 +2,9 @@
 
 The digests were recorded with the term-by-term product kernel, before the
 row-convolution kernel and then the Kronecker-substituted one (packed
-coefficients, one integer multiply per term pair) replaced it; any change
-to a coefficient, an exponent, the term order or the JSON layout changes
-them.
+coefficients, one integer multiply per term pair) replaced it, and before
+the division solved its levels on packed integers; any change to a
+coefficient, an exponent, the term order or the JSON layout changes them.
 """
 
 import hashlib
