@@ -107,6 +107,18 @@ def test_divide_exact(benchmark, node_pair_parts):
     assert benchmark(rhs.divide_exact, kill) == quotient
 
 
+def test_to_json(benchmark, node_pair_parts):
+    # the node-pair kbranch 1^5 quotient: every exponent tuple is decoded here
+    _, _, quotient = node_pair_parts
+    data = benchmark(quotient.to_json)
+    assert len(data["terms"]) == 2112 and CohClass.from_json(data) == quotient
+
+
+def test_from_json(benchmark, node_pair_parts):
+    _, _, quotient = node_pair_parts
+    assert benchmark(CohClass.from_json, quotient.to_json()) == quotient
+
+
 def test_gysin_degree(benchmark):
     s = kbranch_stratum(1, 1, 1, 1, 1)
     assert benchmark(gysin_degree, s).degree == s.cls.coefficient(s.ambient.top_exponent())

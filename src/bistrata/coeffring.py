@@ -34,6 +34,17 @@ class ParamPoly:
                 raise TypeError(f"integer coefficients required, got {c!r}")
         self.coeffs: tuple[int, ...] = tuple(cs)
 
+    @classmethod
+    def _trusted(cls, coeffs: Iterable[int]) -> "ParamPoly":
+        """ParamPoly on ints this package computed, top entry nonzero or none.
+
+        For the ring's own results only: no list copy, no zero strip and no
+        type check, which is what the public constructor spends its time on.
+        """
+        poly = object.__new__(cls)
+        poly.coeffs = tuple(coeffs)
+        return poly
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -80,12 +91,12 @@ class ParamPoly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return ParamPoly(out)
+        return _stripped(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "ParamPoly":
-        return ParamPoly(-c for c in self.coeffs)
+        return _stripped([-c for c in self.coeffs])
 
     def __sub__(self, other) -> "ParamPoly":
         return self + (-self._coerce(other))
@@ -104,7 +115,7 @@ class ParamPoly:
                 continue
             for j, cb in enumerate(b):
                 out[i + j] += ca * cb
-        return ParamPoly(out)
+        return _stripped(out)
 
     __rmul__ = __mul__
 
@@ -180,6 +191,17 @@ class ParamPoly:
 
     def __repr__(self) -> str:
         return f"ParamPoly({list(self.coeffs)!r})"
+
+
+def _stripped(coeffs: list[int]) -> ParamPoly:
+    """ParamPoly on a list of ints computed from ParamPoly coefficients.
+
+    Of the public constructor's work only the zero strip is needed; the list
+    itself is consumed.
+    """
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return ParamPoly._trusted(coeffs)
 
 
 def binomial(n: int, k: int) -> int:

@@ -19,6 +19,16 @@ negation or scaling keeps each exponent, and a product adds exponents, drops
 every monomial that reaches a truncation, and adds the total degrees, so
 sum(exp) <= total_degree holds again.  They only drop zero coefficients.
 
+Terms are stored keyed by the packed exponent: generator i owns one
+bit field of an integer key, at the shift ``VarSpec._layout`` gives it, and
+an exponent tuple e is stored as sum(e_i << shift_i).  Tuples exist only at
+the edges of the class: the public constructor validates tuples and encodes
+each once, ``terms`` decodes every key on each read, ``coefficient``
+encodes the one monomial it is asked for, and JSON and display decode
+once per call.  Inside the ring nothing is encoded or decoded: sums,
+negation, scaling, equality and hashing work on the packed dict, and a
+product adds packed keys.
+
 Products run on one kernel (``CohClass.__mul__``) that uses Kronecker
 substitution in d: each coefficient polynomial is packed once per product
 into a single integer, its value at d = 2^w, with a field width w chosen
@@ -26,12 +36,9 @@ from the operands so that no output coefficient can overflow its field.  A
 surviving pair of input terms then costs one big-integer multiply and one
 addition into the packed row of its product monomial, and each finished
 row is read back into signed w-bit digits and becomes one ParamPoly through
-the public constructor.  Exponents are packed into integers inside the
-product only, with one field per generator and a guard bit on top of each
-field (see ``VarSpec._layout``), so the truncation test of a term pair is
-one addition and one mask.  The public key of ``terms`` stays the exponent
-tuple: JSON, coefficient lookup and grading read tuples, and a product
-decodes each output tuple once from its packed key.
+its trusted constructor.  Each exponent field has a guard bit on top (see
+``VarSpec._layout``), so once the left factor's keys carry a bias, the
+truncation test of a term pair is one addition and one mask.
 
 Division by a divisor F + N (``CohClass.divide_exact``) runs on the same
 packed integers.  The dividend and N are packed once, at one field width
@@ -49,7 +56,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from operator import lshift
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 from .coeffring import ParamPoly
 
@@ -90,7 +97,7 @@ class VarSpec:
     def names(self) -> tuple[str, ...]:
         return tuple(n for n, _ in self.generators)
 
-    @property
+    @cached_property
     def truncations(self) -> tuple[int, ...]:
         return tuple(t for _, t in self.generators)
 
@@ -112,25 +119,55 @@ class VarSpec:
         return tuple(t - 1 for t in self.truncations)
 
     @cached_property
-    def _layout(self) -> tuple[tuple[int, ...], int, int]:
-        """Packed-exponent layout of a product: (shifts, bias, guard).
+    def _layout(self) -> tuple[tuple[int, ...], int, int, int]:
+        """Packed-exponent layout: (shifts, field, bias, guard).
 
-        Generator i owns the bits [w*i, w*i + w) of a packed exponent, with
+        Generator i owns the bits [w*j, w*j + w) of a packed exponent, with
+        j = n - 1 - i for n generators (generator 0 in the top field) and
         w = max(truncation).bit_length() + 1, so 2^(w-1) > t_i for every
-        truncation t_i.  The left factor of a product adds the bias
+        truncation t_i; field = 2^w - 1 masks one field.  A class stores each
+        exponent unbiased, as sum(e_i << w*j), so unbiased keys sort as their
+        exponent tuples do.  The left factor of a product adds the bias
         2^(w-1) - t_i to each of its fields; the field of a packed sum then
         holds e1 + e2 + 2^(w-1) - t_i, which lies in [0, 2^w) because
         e1, e2 < t_i, so no field carries into the next.  Its top bit (the
         guard) is set iff e1 + e2 >= t_i, so a term pair survives the
-        truncations iff (p1 + p2) & guard == 0.  Computed once per VarSpec;
-        equality and hashing still see the generators only.
+        truncations iff (p1 + p2) & guard == 0, and the packed sum less the
+        bias is the unbiased key of the product monomial.  Computed once per
+        VarSpec; equality and hashing still see the generators only.
         """
         width = max(self.truncations, default=1).bit_length() + 1
         half = 1 << (width - 1)
-        shifts = tuple(width * i for i in range(len(self.generators)))
+        shifts = tuple(width * j for j in reversed(range(len(self.generators))))
         bias = sum((half - t) << s for t, s in zip(self.truncations, shifts))
         guard = sum(half << s for s in shifts)
-        return shifts, bias, guard
+        return shifts, (1 << width) - 1, bias, guard
+
+    def _checked_key(self, exp: Sequence[int]) -> int:
+        """Packed key of an exponent tuple that a class can hold.
+
+        The tuple needs one int (not a bool) per generator, each in
+        [0, truncation); anything else raises ValueError.
+        """
+        truncs = self.truncations
+        if len(exp) != len(truncs):
+            raise ValueError(f"exponent {exp} has wrong arity for {self.names}")
+        if not all(map(_is_int, exp)):
+            raise ValueError(f"exponent {exp} must hold integers")
+        if any(e < 0 for e in exp):
+            raise ValueError(f"negative exponent in {exp}")
+        if any(e >= t for e, t in zip(exp, truncs)):
+            raise ValueError(f"exponent {exp} not reduced modulo truncations {truncs}")
+        return sum(map(lshift, exp, self._layout[0]))
+
+    def _exponents(self, keys: Collection[int]) -> Iterable[tuple[int, ...]]:
+        """Exponent tuples of unbiased packed keys, in the order given."""
+        shifts, field, _, _ = self._layout
+        if not shifts:
+            return [()] * len(keys)
+        # one pass per field over every key is about twice as fast as one
+        # tuple per key
+        return zip(*[[(key >> s) & field for key in keys] for s in shifts])
 
 
 def _coerce_poly(value) -> ParamPoly:
@@ -141,32 +178,32 @@ def _coerce_poly(value) -> ParamPoly:
     raise TypeError(f"coefficient must be ParamPoly or int, not {value!r}")
 
 
-def _packed(exps: Iterable[tuple[int, ...]], coeffs: Iterable[tuple[int, ...]],
-            shifts: tuple[int, ...], offset: int, w: int) -> list[tuple[int, int]]:
-    """(packed exponent + offset, coefficient value at d = 2^w) per term."""
+def _packed(terms: Iterable[tuple[int, tuple[int, ...]]], offset: int,
+            w: int) -> list[tuple[int, int]]:
+    """(packed key + offset, coefficient value at d = 2^w) per (key, coeffs)."""
     out = []
-    for e, cs in zip(exps, coeffs):
+    for key, cs in terms:
         v = 0
         for c in reversed(cs):  # Horner from the top coefficient down
             v = (v << w) + c
-        out.append((sum(map(lshift, e, shifts)) + offset, v))
+        out.append((key + offset, v))
     return out
 
 
-def _unpacked(rows: Iterable[tuple[int, int]], layout: tuple[tuple[int, ...], int, int],
-              w: int) -> dict[tuple[int, ...], ParamPoly]:
-    """Exponent tuple -> ParamPoly of each nonzero (biased packed exponent, value).
+def _unpacked(rows: Iterable[tuple[int, int]], bias: int, w: int) -> dict[int, ParamPoly]:
+    """Unbiased key -> ParamPoly of each nonzero (biased packed key, value).
 
     Each value is read back as balanced base-2^w digits in
     [-2^(w-1), 2^(w-1)), lowest first, which is exact when every coefficient
     lies in that range; a value of 0 is a cancelled monomial and is dropped.
-    The exponent tuple is decoded from the key once, less the bias.
+    The digit loop ends on a nonzero top digit, so each row is a canonical
+    ParamPoly and is built by its trusted constructor; the key only loses
+    its bias.
     """
-    shifts, bias, guard = layout
+    trusted = ParamPoly._trusted
     mask = (1 << w) - 1
     half = 1 << (w - 1)
     full = 1 << w
-    field = ((guard & -guard) << 1) - 1  # one exponent field: its guard bit and below
     out = {}
     for key, v in rows:
         if not v:
@@ -178,56 +215,66 @@ def _unpacked(rows: Iterable[tuple[int, int]], layout: tuple[tuple[int, ...], in
                 c -= full
             row.append(c)
             v = (v - c) >> w
-        key -= bias
-        out[tuple([(key >> s) & field for s in shifts])] = ParamPoly(row)
+        out[key - bias] = trusted(row)
     return out
 
 
 class CohClass:
     """An element of the truncated ring, graded by total_degree."""
 
-    __slots__ = ("ambient", "total_degree", "terms")
+    __slots__ = ("ambient", "total_degree", "_terms")
 
     def __init__(self, ambient: VarSpec, total_degree: int,
-                 terms: Mapping[tuple[int, ...], ParamPoly], *, _checked: bool = True):
+                 terms: Mapping[tuple[int, ...], ParamPoly], *, _packed_keys: bool = False):
         """Class with the given terms; zero coefficients are dropped.
 
+        ``terms`` maps exponent tuples to ParamPoly or int coefficients.
         total_degree and every exponent entry must be an int (not a bool).
         Every exponent must have one entry per generator, each in
         [0, truncation), and sum to at most total_degree (the implicit F
-        exponent is non-negative).  ``_checked=False`` is for the ring
-        operations only: their terms are ParamPoly coefficients on exponents
-        that already satisfy these invariants, so only zeros are removed.
+        exponent is non-negative).  ``_packed_keys=True`` is for the ring
+        operations only: ``terms`` is then a dict from unbiased packed keys
+        to nonzero ParamPoly coefficients, on exponents that already satisfy
+        these invariants, and is stored as given.
         """
         self.ambient = ambient
         self.total_degree = total_degree
-        if not _checked:
-            self.terms = {e: c for e, c in terms.items() if c.coeffs}
+        if _packed_keys:
+            self._terms = terms
             return
         if not _is_int(total_degree):
             raise ValueError(f"total_degree must be an integer, got {total_degree!r}")
         if total_degree < 0:
             raise ValueError("total_degree must be non-negative")
-        cleaned: dict[tuple[int, ...], ParamPoly] = {}
-        truncs = ambient.truncations
+        cleaned: dict[int, ParamPoly] = {}
         for exp, coeff in terms.items():
             coeff = _coerce_poly(coeff)
             if coeff.is_zero():
                 continue
-            if len(exp) != len(truncs):
-                raise ValueError(f"exponent {exp} has wrong arity for {ambient.names}")
-            if not all(map(_is_int, exp)):
-                raise ValueError(f"exponent {exp} must hold integers")
-            if any(e < 0 for e in exp):
-                raise ValueError(f"negative exponent in {exp}")
-            if any(e >= t for e, t in zip(exp, truncs)):
-                raise ValueError(f"exponent {exp} not reduced modulo truncations {truncs}")
+            key = ambient._checked_key(exp)
             if sum(exp) > total_degree:
                 raise ValueError(
                     f"monomial {exp} exceeds total_degree {total_degree}; "
                     "the implicit F exponent would be negative")
-            cleaned[tuple(exp)] = coeff
-        self.terms = cleaned
+            cleaned[key] = coeff
+        self._terms = cleaned
+
+    @property
+    def terms(self) -> dict[tuple[int, ...], ParamPoly]:
+        """Exponent tuple -> nonzero coefficient, decoded on each read.
+
+        The dict is a fresh copy: changing it does not change the class.
+        """
+        return dict(zip(self.ambient._exponents(self._terms), self._terms.values()))
+
+    def _sorted_terms(self) -> list[tuple[tuple[int, ...], ParamPoly]]:
+        """(exponent tuple, coefficient) pairs in increasing exponent order.
+
+        Unbiased keys sort as their exponent tuples do (``VarSpec._layout``),
+        so the ints are sorted and only then decoded.
+        """
+        keys = sorted(self._terms)
+        return list(zip(self.ambient._exponents(keys), map(self._terms.__getitem__, keys)))
 
     # -- constructors ------------------------------------------------------
 
@@ -270,14 +317,15 @@ class CohClass:
             raise ValueError(
                 "cannot add classes of total degree "
                 f"{self.total_degree} and {other.total_degree}")
-        terms = dict(self.terms)
-        for exp, coeff in other.terms.items():
-            terms[exp] = terms[exp] + coeff if exp in terms else coeff
-        return CohClass(self.ambient, self.total_degree, terms, _checked=False)
+        terms = dict(self._terms)
+        for key, coeff in other._terms.items():
+            terms[key] = terms[key] + coeff if key in terms else coeff
+        return CohClass(self.ambient, self.total_degree,
+                        {key: c for key, c in terms.items() if c.coeffs}, _packed_keys=True)
 
     def __neg__(self) -> "CohClass":
         return CohClass(self.ambient, self.total_degree,
-                        {e: -c for e, c in self.terms.items()}, _checked=False)
+                        {key: -c for key, c in self._terms.items()}, _packed_keys=True)
 
     def __sub__(self, other: "CohClass") -> "CohClass":
         return self + (-other)
@@ -285,17 +333,18 @@ class CohClass:
     def scaled(self, factor) -> "CohClass":
         """Multiply every coefficient by an integer or ParamPoly (degree 0 in F)."""
         poly = _coerce_poly(factor)
-        return CohClass(self.ambient, self.total_degree,
-                        {e: c * poly for e, c in self.terms.items()}, _checked=False)
+        # Z[d] has no zero divisors: a product of nonzero coefficients is nonzero
+        terms = {key: c * poly for key, c in self._terms.items()} if poly else {}
+        return CohClass(self.ambient, self.total_degree, terms, _packed_keys=True)
 
     def __mul__(self, other: "CohClass") -> "CohClass":
         """Product by Kronecker substitution: one integer multiply per term pair.
 
-        Exponents are packed by ``VarSpec._layout``: a pair dies to the
-        truncations iff its biased packed sum hits a guard bit.  The packed
-        sum of a surviving pair keys the row of its output monomial; the
-        monomial's exponent tuple is decoded from that key once, less the
-        bias, when the finished row is stored.
+        Keys are packed exponents laid out by ``VarSpec._layout``: with the
+        bias added to the left factor's keys, a pair dies to the truncations
+        iff its packed sum hits a guard bit.  The packed sum of a surviving
+        pair keys the row of its output monomial, and that sum less the bias
+        is the monomial's stored key, so no exponent tuple is read or built.
 
         Each coefficient polynomial c_0 + c_1 d + ... is packed as its value
         at d = 2^w, so the product of two packed coefficients is the packed
@@ -311,22 +360,21 @@ class CohClass:
 
         Each row is therefore read back exactly by ``_unpacked``; a row whose
         packed sum is 0 is a cancelled monomial and is dropped.  No ParamPoly
-        exists until each finished row becomes one through the public
-        constructor.
+        exists until each finished row becomes one.
         """
         self._require_same_ambient(other)
         total_degree = self.total_degree + other.total_degree
-        if not self.terms or not other.terms:
-            return CohClass(self.ambient, total_degree, {}, _checked=False)
-        layout = shifts, bias, guard = self.ambient._layout
-        lcoeffs = [c.coeffs for c in self.terms.values()]
-        rcoeffs = [c.coeffs for c in other.terms.values()]
+        if not self._terms or not other._terms:
+            return CohClass(self.ambient, total_degree, {}, _packed_keys=True)
+        _, _, bias, guard = self.ambient._layout
+        lcoeffs = [c.coeffs for c in self._terms.values()]
+        rcoeffs = [c.coeffs for c in other._terms.values()]
         n = min(max(map(len, lcoeffs)), max(map(len, rcoeffs)))
         w = (max(map(abs, chain.from_iterable(lcoeffs))).bit_length()
              + max(map(abs, chain.from_iterable(rcoeffs))).bit_length()
              + (n * min(len(lcoeffs), len(rcoeffs))).bit_length() + 1)
-        left = _packed(self.terms, lcoeffs, shifts, bias, w)
-        right = _packed(other.terms, rcoeffs, shifts, 0, w)
+        left = _packed(zip(self._terms, lcoeffs), bias, w)
+        right = _packed(zip(other._terms, rcoeffs), 0, w)
         rows: dict[int, int] = {}
         get = rows.get
         for p1, a in left:
@@ -335,8 +383,8 @@ class CohClass:
                 if key & guard:
                     continue  # nilpotent: the monomial dies
                 rows[key] = get(key, 0) + a * b
-        return CohClass(self.ambient, total_degree, _unpacked(rows.items(), layout, w),
-                        _checked=False)
+        return CohClass(self.ambient, total_degree, _unpacked(rows.items(), bias, w),
+                        _packed_keys=True)
 
     def __pow__(self, n: int) -> "CohClass":
         if n < 0:
@@ -355,13 +403,13 @@ class CohClass:
             return NotImplemented
         return (self.ambient == other.ambient
                 and self.total_degree == other.total_degree
-                and self.terms == other.terms)
+                and self._terms == other._terms)
 
     def __hash__(self) -> int:
-        return hash((self.ambient, self.total_degree, tuple(sorted(self.terms.items()))))
+        return hash((self.ambient, self.total_degree, frozenset(self._terms.items())))
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
     # -- extraction and division ---------------------------------------------
 
@@ -369,28 +417,15 @@ class CohClass:
         """ParamPoly coefficient of a monomial; zero if absent.
 
         ``monomial`` is an exponent tuple or a {name: exponent} mapping.  An
-        exponent that no class can hold (wrong arity, negative, or at a
-        truncation) raises ValueError instead of reading as zero.
+        exponent that no class can hold (wrong arity, an entry that is not
+        an int or is a bool, negative, or at a truncation) raises ValueError
+        instead of reading as zero.
         """
         if isinstance(monomial, Mapping):
             exp = self.ambient.exponent(monomial)
         else:
             exp = tuple(monomial)
-        truncs = self.ambient.truncations
-        if len(exp) != len(truncs):
-            raise ValueError(f"exponent {exp} has wrong arity")
-        if any(e < 0 for e in exp):
-            raise ValueError(f"negative exponent in {exp}")
-        if any(e >= t for e, t in zip(exp, truncs)):
-            raise ValueError(f"monomial {exp} exceeds truncations {truncs}")
-        return self.terms.get(exp, ParamPoly())
-
-    def graded_parts(self) -> dict[int, dict[tuple[int, ...], ParamPoly]]:
-        """Terms grouped by visible degree (sum of nilpotent exponents)."""
-        parts: dict[int, dict[tuple[int, ...], ParamPoly]] = {}
-        for exp, coeff in self.terms.items():
-            parts.setdefault(sum(exp), {})[exp] = coeff
-        return parts
+        return self._terms.get(self.ambient._checked_key(exp), ParamPoly())
 
     def divide_exact(self, b: "CohClass") -> "CohClass":
         """Solve a * b == self for a, where b = F + N with N nilpotent.
@@ -406,15 +441,17 @@ class CohClass:
         for L = 0 .. min(t_quot, sum(t_i - 1)), with t_quot = total_degree - 1
         and t_i the truncations: no exponent of a lies above either.
 
-        The whole recursion runs on Kronecker-packed integers.  The dividend
-        and N are packed once at d = 2^w, with exponents packed as in
-        ``__mul__`` (a pair dies to the truncations iff its biased packed sum
-        hits a guard bit); each level starts from the packed dividend terms
-        of that level and subtracts one big-integer product per surviving
-        pair of an a_(L-1) term and an N term.  Packing is evaluation at
-        d = 2^w, a ring map, so the packed a_L are exact for every w; w only
-        has to make the single read-back of the quotient exact, that is
-        |c| < 2^(w-1) for every integer coefficient c of every a_L.
+        The whole recursion runs on Kronecker-packed integers.  The dividend's
+        terms are grouped by level from their packed keys (the level of a key
+        is the sum of its fields), and the dividend and N are packed once at
+        d = 2^w, with keys biased as in ``__mul__`` (a pair dies to the
+        truncations iff its biased packed sum hits a guard bit); each level
+        starts from the packed dividend terms of that level and subtracts one
+        big-integer product per surviving pair of an a_(L-1) term and an N
+        term.  Packing is evaluation at d = 2^w, a ring map, so the packed a_L
+        are exact for every w; w only has to make the single read-back of the
+        quotient exact, that is |c| < 2^(w-1) for every integer coefficient c
+        of every a_L.
 
         The bound.  Let r be the L1 norm of N (the sum of |c| over every term
         of N and every power of d), S_L the largest |coefficient| of self at
@@ -428,41 +465,43 @@ class CohClass:
         adds at most S_L.  With w = max(B_L).bit_length() + 1 every
         coefficient satisfies |c| <= B_L < 2^(w-1).
 
-        The unpacked quotient is then multiplied back by b through
-        ``__mul__`` and compared with self.  That product is independent of
-        the packed recursion, so a nonzero remainder (the defining equation
-        was inconsistent, or a field overflowed) raises ExactDivisionError
-        instead of returning a wrong quotient.
+        The quotient, read back once into packed keys, is then multiplied
+        back by b through ``__mul__`` and compared with self.  That product
+        is independent of the packed recursion, so a nonzero remainder (the
+        defining equation was inconsistent, or a field overflowed) raises
+        ExactDivisionError instead of returning a wrong quotient.
         """
         self._require_same_ambient(b)
         if b.total_degree != 1:
             raise ValueError("divisor must have total_degree 1")
-        zero_exp = tuple([0] * len(self.ambient.generators))
-        if b.terms.get(zero_exp, ParamPoly()) != ParamPoly.const(1):
+        if b._terms.get(0, ParamPoly()) != ParamPoly.const(1):  # key 0: the monomial F
             raise ValueError("divisor must have F coefficient 1")
         if self.is_zero():
             raise ValueError("cannot divide the zero class")
         if self.total_degree < 1:
             raise ExactDivisionError("dividend has total_degree 0")
         ambient = self.ambient
-        layout = shifts, bias, guard = ambient._layout
+        shifts, field, bias, guard = ambient._layout
         t_quot = self.total_degree - 1
-        parts = self.graded_parts()
-        levels = [parts.get(level, {})
-                  for level in range(min(t_quot, sum(ambient.top_exponent())) + 1)]
-        nilpotent = {e: c.coeffs for e, c in b.terms.items() if e != zero_exp}
-        r = sum(map(abs, chain.from_iterable(nilpotent.values())))
+        levels: list[list[tuple[int, tuple[int, ...]]]] = [
+            [] for _ in range(min(t_quot, sum(ambient.top_exponent())) + 1)]
+        for key, c in self._terms.items():
+            level = sum([(key >> s) & field for s in shifts])
+            if level < len(levels):
+                levels[level].append((key, c.coeffs))
+        nilpotent = [(key, c.coeffs) for key, c in b._terms.items() if key]
+        r = sum(map(abs, chain.from_iterable(cs for _, cs in nilpotent)))
         bound = widest = 0
         for part in levels:
-            peak = max(map(abs, chain.from_iterable(c.coeffs for c in part.values())), default=0)
+            peak = max(map(abs, chain.from_iterable(cs for _, cs in part)), default=0)
             bound = peak + r * bound
             widest = max(widest, bound)
         w = widest.bit_length() + 1
-        right = _packed(nilpotent, nilpotent.values(), shifts, 0, w)
+        right = _packed(nilpotent, 0, w)
         solved: list[tuple[int, int]] = []
         below: list[tuple[int, int]] = []  # packed a_(L-1)
         for part in levels:
-            rows = dict(_packed(part, [c.coeffs for c in part.values()], shifts, bias, w))
+            rows = dict(_packed(part, bias, w))
             get = rows.get
             for p1, a in below:
                 for p2, c in right:
@@ -472,7 +511,7 @@ class CohClass:
                     rows[key] = get(key, 0) - a * c
             below = [(key, v) for key, v in rows.items() if v]
             solved += below
-        quotient = CohClass(ambient, t_quot, _unpacked(solved, layout, w), _checked=False)
+        quotient = CohClass(ambient, t_quot, _unpacked(solved, bias, w), _packed_keys=True)
         # the packed rows are dead: free them, so the check product's own
         # packing does not raise the peak memory of a division
         del levels, solved, below, rows
@@ -485,27 +524,29 @@ class CohClass:
     def to_json(self) -> dict:
         variables = [{"name": n, "trunc": t} for n, t in self.ambient.generators]
         names = self.ambient.names
-        terms = []
-        for exp in sorted(self.terms):
-            exps = {names[i]: e for i, e in enumerate(exp) if e != 0}
-            terms.append({"exps": exps, "coeff": self.terms[exp].to_json()})
+        terms = [{"exps": {names[i]: e for i, e in enumerate(exp) if e != 0},
+                  "coeff": coeff.to_json()}
+                 for exp, coeff in self._sorted_terms()]
         return {"variables": variables, "total_degree": self.total_degree, "terms": terms}
 
     @classmethod
     def from_json(cls, data: Mapping) -> "CohClass":
+        """Inverse of ``to_json``; a monomial named by two terms raises ValueError."""
         ambient = VarSpec(tuple((v["name"], v["trunc"]) for v in data["variables"]))
         terms = {}
         for item in data["terms"]:
             exp = ambient.exponent(dict(item["exps"]))
+            if exp in terms:
+                raise ValueError(f"two terms name the monomial {exp}")
             terms[exp] = ParamPoly.from_json(item["coeff"])
         return cls(ambient, data["total_degree"], terms)
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self._terms:
             return "0"
         names = self.ambient.names
         pieces = []
-        for exp in sorted(self.terms):
+        for exp, coeff in self._sorted_terms():
             factors = []
             f_exp = self.total_degree - sum(exp)
             if f_exp == 1:
@@ -518,7 +559,6 @@ class CohClass:
                 elif e > 1:
                     factors.append(f"{name}^{e}")
             mono = "*".join(factors) if factors else "1"
-            coeff = self.terms[exp]
             if coeff == ParamPoly.const(1) and factors:
                 pieces.append(mono)
             else:

@@ -88,6 +88,12 @@ def test_from_json_rejects_malformed_terms():
             CohClass.from_json(data)
     signed = dict(good, terms=[{"exps": {"X": 1}, "coeff": ["+3", "-0", "007"]}])
     assert CohClass.from_json(signed) == divisor(XL, 0, X=ParamPoly((3, 0, 7)))
+    # two terms on one monomial: loading must not keep the last one silently
+    for first, second in (({"X": 1}, {"X": 1}), ({}, {"X": 0}), ({"X": 1, "L": 0}, {"X": 1})):
+        data = dict(good, terms=[{"exps": first, "coeff": ["1"]},
+                                 {"exps": second, "coeff": ["2"]}])
+        with pytest.raises(ValueError):
+            CohClass.from_json(data)
 
 
 @pytest.mark.parametrize("field, value", [
@@ -117,6 +123,11 @@ def test_coefficient_rejects_exponents_no_class_holds():
     assert c.coefficient({"X": 1}) == ParamPoly.const(2)
     assert c.coefficient((0, 2)) == ParamPoly()
     for monomial in ((-1, 0), {"X": -1}, (0, 3), (1,)):
+        with pytest.raises(ValueError):
+            c.coefficient(monomial)
+    # exponents are ints, as in the constructor: a bool or a float is refused,
+    # not read as the X coefficient
+    for monomial in ({"X": True}, (True, 0), {"X": 1.0}, (1.0, 0), (0, False)):
         with pytest.raises(ValueError):
             c.coefficient(monomial)
 
@@ -363,6 +374,53 @@ def test_product_at_extreme_field_width(ambient, exps, sign):
     assert got == b * a
 
 
+@settings(max_examples=100)
+@given(st.data())
+def test_ring_built_classes_read_back_through_packed_keys(data):
+    # classes store packed keys and decode tuples only when read; truncations
+    # 5 and 9 make fields wider than 2 bits, so a decoder that reads fields
+    # at the 2-bit width of the projective truncation 3 shows here, and a
+    # hash that depends on the order the ring built the terms in differs
+    # from the hash of the same terms built by the public constructor in
+    # sorted order
+    ambient = data.draw(st.one_of(kernel_ambients(),
+                                  st.just(VarSpec((("G0", 5), ("G1", 9))))))
+    a = data.draw(kernel_classes(ambient))
+    b = data.draw(kernel_classes(ambient))
+    div = CohClass.divisor(ambient, 1, data.draw(st.fixed_dictionaries(
+        {name: kernel_poly for name, trunc in ambient.generators if trunc > 1})))
+    built = [a * b, a * b + b * a, a * b - b * a, -(a * div), a + a.scaled(data.draw(kernel_poly))]
+    if not a.is_zero():
+        built.append((a * div).divide_exact(div))
+    for c in built:
+        again = CohClass(c.ambient, c.total_degree, dict(sorted(c.terms.items())))
+        assert again == c and hash(again) == hash(c)
+        assert CohClass.from_json(c.to_json()) == c
+        for exp, coeff in c.terms.items():
+            assert c.coefficient(exp) == coeff
+
+
+def test_product_and_division_decode_no_exponent_tuples(monkeypatch):
+    # inside the ring terms stay packed: a product and a division (with its
+    # multiply-back check) never read the decoded ``terms``, and neither
+    # encodes nor decodes an exponent tuple
+    b = divisor(XYL, 1, X=ParamPoly((-4, 1)), Y=-3, L=2)
+    factors = [divisor(XYL, 1, X=ParamPoly((-k, 1)), Y=k, L=k % 3 - 1) for k in range(1, 6)]
+    left, right = product_of(factors[:3]), product_of(factors[3:] + [b])
+
+    def refuse(self, *args):
+        raise AssertionError("an exponent tuple was encoded or decoded")
+
+    monkeypatch.setattr(CohClass, "terms", property(refuse))
+    monkeypatch.setattr(VarSpec, "_checked_key", refuse)
+    monkeypatch.setattr(VarSpec, "_exponents", refuse)
+    dividend = left * right
+    quotient = dividend.divide_exact(b)
+    monkeypatch.undo()
+    assert dividend == product_of(factors + [b])
+    assert quotient == product_of(factors)
+
+
 def test_product_drops_cancelled_monomials():
     # (X - L)(X + L) = X^2 - L^2: the two XL terms cancel and are not stored
     prod = divisor(XL, 0, X=1, L=-1) * divisor(XL, 0, X=1, L=1)
@@ -372,6 +430,17 @@ def test_product_drops_cancelled_monomials():
     a = CohClass(amb, 1, {(0,): ParamPoly((1, 1)), (1,): ParamPoly((0, 1))})
     b = CohClass(amb, 1, {(0,): ParamPoly((1, -1)), (1,): ParamPoly((0, 1))})
     assert (a * b).terms == {(0,): ParamPoly((1, 0, -1)), (1,): ParamPoly((0, 2))}
+
+
+def test_class_over_no_generators():
+    # every key is 0 and there are no fields to decode: the F^k term must
+    # still read back as the empty exponent
+    ambient = VarSpec(())
+    f = CohClass.divisor(ambient, ParamPoly((-2, 1)))
+    square = f * f
+    assert square.terms == {(): ParamPoly((4, -4, 1))}
+    assert str(square) == "(d^2 - 4*d + 4)*F^2"
+    assert CohClass.from_json(square.to_json()) == square
 
 
 def test_product_with_truncation_one_generator():
