@@ -21,10 +21,11 @@ import pytest
 from bistrata.coeffring import ParamPoly
 from bistrata.cohring import CohClass, VarSpec, product_of
 from bistrata.collide import SingularitySpec
-from bistrata.degrees import gysin_degree
+from bistrata.degrees import _memoised_degree, gysin_degree, stratum_degree
 from bistrata.divisors import incidence_class, kill_tangent_cone_class, omp_conditions_class
 from bistrata.strata import (_two_omp_factors, _two_omp_product, cone_line_names,
-                             kbranch_stratum, node_pair_recursion_parts, node_pair_stratum)
+                             kbranch_stratum, node_pair_recursion_parts, node_pair_stratum,
+                             two_omp_stratum)
 
 XYL = VarSpec.projective(("X", "Y", "L"))
 
@@ -122,3 +123,19 @@ def test_from_json(benchmark, node_pair_parts):
 def test_gysin_degree(benchmark):
     s = kbranch_stratum(1, 1, 1, 1, 1)
     assert benchmark(gysin_degree, s).degree == s.cls.coefficient(s.ambient.top_exponent())
+
+
+# One table cell, omp:15 beside omp:8, through the degree entry point: a
+# warm process reads it from the memo, a fresh one builds it.
+
+def test_stratum_degree_memo_hit(benchmark):
+    sx, sy = SingularitySpec.omp(15), SingularitySpec.omp(8)
+    want = stratum_degree(sx, sy)  # fills the entry
+    assert benchmark(stratum_degree, sy, sx) is want
+
+
+def test_stratum_degree_cold(benchmark):
+    sx, sy = SingularitySpec.omp(15), SingularitySpec.omp(8)
+    got = benchmark.pedantic(stratum_degree, args=(sx, sy), setup=_memoised_degree.cache_clear,
+                             rounds=100, warmup_rounds=1)
+    assert got == gysin_degree(two_omp_stratum(14, 7))

@@ -101,17 +101,30 @@ class VarSpec:
     def truncations(self) -> tuple[int, ...]:
         return tuple(t for _, t in self.generators)
 
+    @cached_property
+    def _indices(self) -> dict[str, int]:
+        """Generator name -> position, built once per VarSpec."""
+        return {n: i for i, (n, _) in enumerate(self.generators)}
+
     def index(self, name: str) -> int:
-        for i, (n, _) in enumerate(self.generators):
-            if n == name:
-                return i
-        raise KeyError(f"unknown generator {name!r}; have {self.names}")
+        try:
+            return self._indices[name]
+        except KeyError:
+            raise KeyError(f"unknown generator {name!r}; have {self.names}") from None
 
     def exponent(self, parts: Mapping[str, int]) -> tuple[int, ...]:
-        """Exponent vector with the named entries set, zero elsewhere."""
-        exp = [0] * len(self.generators)
+        """Exponent vector with the named entries set, zero elsewhere.
+
+        A name that is not a generator raises ValueError: the mapping comes
+        from outside the ring (``coefficient``, ``from_json``).
+        """
+        indices = self._indices
+        exp = [0] * len(indices)
         for name, e in parts.items():
-            exp[self.index(name)] = e
+            i = indices.get(name)
+            if i is None:
+                raise ValueError(f"unknown generator {name!r}; have {self.names}")
+            exp[i] = e
         return tuple(exp)
 
     def top_exponent(self) -> tuple[int, ...]:

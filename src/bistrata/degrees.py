@@ -7,18 +7,27 @@ of the symmetry that permutes identical singularity data.  The catalog
 transcribes published closed forms literally, with rational intermediate
 arithmetic and an integrality assertion, since several of them carry
 fractional prefactors that must clear on integer inputs.
+
+``stratum_degree`` results are memoised for the life of the process in a
+bounded LRU of 1024 entries, keyed on the canonical unordered type pair and
+holding only the small ``DegreeResult``, never a class.  A refused type or
+pair raises on every call and is never stored.  The builders and
+``stratum_for`` are not memoised, so the ``class`` verb and the ``verify``
+identities built through the builders rebuild every time.  A one-shot CLI
+process sees no change.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Sequence
 
 from .coeffring import InterpolationError, ParamPoly, binomial
 from .collide import SingularitySpec
 from .divisors import incidence_class
-from .strata import StratumClass, stratum_for
+from .strata import StratumClass, _dispatch_order, stratum_for
 
 
 @dataclass(frozen=True)
@@ -70,10 +79,19 @@ def stratum_degree(sx: SingularitySpec, sy: SingularitySpec | None = None) -> De
 
     The stratum comes from ``stratum_for``, with the same supported types
     and pairs.  A single cusp or diagram stratum comes bare of the
-    point-on-tangent incidence, which is multiplied in here.
+    point-on-tangent incidence, which is multiplied in here.  Results are
+    memoised per process (see the module docstring); errors are not.
     """
+    return _memoised_degree(*_dispatch_order(sx, sy))
+
+
+# A fixed bound: a warm process asks a few hundred distinct pairs, and an
+# entry holds one small DegreeResult.
+@lru_cache(maxsize=1024)
+def _memoised_degree(sx: SingularitySpec, sy: SingularitySpec | None) -> DegreeResult:
+    """``stratum_degree`` of types already in ``_dispatch_order``."""
     s = stratum_for(sx, sy)
-    if sy is None and sx.canonical().kind in ("cusp", "diagram"):
+    if sy is None and sx.kind in ("cusp", "diagram"):
         s = replace(s, cls=s.cls * incidence_class(s.ambient, "X", "L"))
     return gysin_degree(s)
 

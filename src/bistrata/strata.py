@@ -194,6 +194,25 @@ def two_omp_stratum(p: int, q: int) -> StratumClass:
                         valid_from_d=p + q + 2, route="two-point product")
 
 
+def _dispatch_order(sx: SingularitySpec, sy: SingularitySpec | None = None
+                    ) -> tuple[SingularitySpec, SingularitySpec | None]:
+    """The types of a stratum as ``stratum_for`` dispatches on them.
+
+    Each type is put in canonical form (``SingularitySpec.canonical``).  A
+    pair is unordered: two ordinary points come with the higher
+    multiplicity first, otherwise a type that is not an ordinary point
+    comes first.  Both orders of a pair therefore give one result, which
+    also keys the degree memo of ``stratum_degree``.
+    """
+    sx = sx.canonical()
+    if sy is None:
+        return sx, None
+    sy = sy.canonical()
+    if sx.kind == "omp" and (sy.kind != "omp" or sy.mults[0] > sx.mults[0]):
+        sx, sy = sy, sx
+    return sx, sy
+
+
 def stratum_for(sx: SingularitySpec, sy: SingularitySpec | None = None) -> StratumClass:
     """The one dispatch from singularity types to a stratum construction.
 
@@ -210,7 +229,7 @@ def stratum_for(sx: SingularitySpec, sy: SingularitySpec | None = None) -> Strat
     L; the degree layer multiplies that in before Gysin extraction, while
     the ``class`` verb prints the stratum exactly as its route builds it.
     """
-    sx = sx.canonical()
+    sx, sy = _dispatch_order(sx, sy)
     if sy is None:
         if sx.kind == "omp":
             return omp_stratum(sx.mults[0] - 1)
@@ -221,13 +240,8 @@ def stratum_for(sx: SingularitySpec, sy: SingularitySpec | None = None) -> Strat
         if sx.kind == "diagram":
             return diagram_stratum(sx.diagram)
         raise ValueError(f"unsupported singularity kind {sx.kind!r}")
-    sy = sy.canonical()
-    if sx.kind == "omp" and sy.kind == "omp":
-        m_hi, m_lo = sorted((sx.mults[0], sy.mults[0]), reverse=True)
-        return two_omp_stratum(m_hi - 1, m_lo - 1)
-    # normalize: the non-ordinary type plays the first role
-    if sx.kind == "omp":
-        sx, sy = sy, sx
+    if sx.kind == "omp":  # then both are ordinary points
+        return two_omp_stratum(sx.mults[0] - 1, sy.mults[0] - 1)
     if sy.kind == "omp" and sy.mults[0] == 2 and sx.kind in ("cusp", "kbranch"):
         return node_pair_stratum(sx)
     raise ValueError(

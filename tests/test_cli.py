@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from bistrata import cli
+from bistrata import cli, degrees
 from bistrata.cli import build_parser, main, parse_range, parse_type_spec, SpecError
 from bistrata.coeffring import binomial
 from bistrata.collide import NewtonDiagram, SingularitySpec, collide_omp
@@ -226,6 +226,7 @@ MIXED_CALLS = [
     ("degree", "--x", "nope:3"),
     ("degree", "--x", "omp:3", "--symbolic-d", "--d", "4"),
     ("degree", "--x", "omp:3", "--d", "2"),
+    ("table", "--family", "omp", "--p-range", "1..3", "--d", "3"),
 ]
 
 
@@ -245,10 +246,17 @@ def test_repeated_calls_are_independent(tmp_path, monkeypatch):
     for argv, want in zip(MIXED_CALLS, forward):
         monkeypatch.setattr(cli, "_parser", None)
         assert call(argv) == want
+    # a cold build prints what the calls that read the degree memo printed,
+    # warnings included
+    for argv, want in zip(MIXED_CALLS, forward):
+        degrees._memoised_degree.cache_clear()
+        assert call(argv) == want
     codes = [got[0] for got in forward]
-    assert codes == [0] * 9 + [2, 2, 0]
+    assert codes == [0] * 9 + [2, 2, 0, 0]
     assert "not allowed with argument" in forward[10][2]
     assert forward[6][1] == "" and forward[6][3].startswith("family,p,q,d,degree\n")
+    assert forward[12][2] == ("warning: omp p=3: d=3 is below the validity bound d >= 4; "
+                              "the value is formal\n")
 
 
 def test_smooth_kbranch_is_a_usage_error():

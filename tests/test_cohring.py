@@ -78,7 +78,7 @@ def test_from_json_rejects_malformed_terms():
     for exps, total in (({"X": 3}, 3), ({"X": 2, "L": 1}, 2), ({"Z": 1}, 1)):
         data = dict(good, total_degree=total,
                     terms=[{"exps": exps, "coeff": ["1"]}])
-        with pytest.raises((ValueError, KeyError)):
+        with pytest.raises(ValueError):
             CohClass.from_json(data)
     # coefficients are decimal strings: int() would truncate 2.9 to 2 and
     # read true as 1, a plausible wrong class
@@ -122,7 +122,8 @@ def test_coefficient_rejects_exponents_no_class_holds():
     c = divisor(XL, 1, X=2, L=-1)
     assert c.coefficient({"X": 1}) == ParamPoly.const(2)
     assert c.coefficient((0, 2)) == ParamPoly()
-    for monomial in ((-1, 0), {"X": -1}, (0, 3), (1,)):
+    # a generator the ambient lacks is refused too, not read as zero
+    for monomial in ((-1, 0), {"X": -1}, (0, 3), (1,), {"Q": 0}):
         with pytest.raises(ValueError):
             c.coefficient(monomial)
     # exponents are ints, as in the constructor: a bool or a float is refused,

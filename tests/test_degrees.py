@@ -3,6 +3,7 @@ import io
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
+from bistrata import degrees, strata
 from bistrata.cli import main, parse_type_spec
 from bistrata.coeffring import InterpolationError, ParamPoly, binomial
 from bistrata.collide import NewtonDiagram, SingularitySpec, is_linear
@@ -281,3 +282,64 @@ def test_random_linear_diagrams(nd):
     if got is not None:
         for d in range(got.valid_from_d, got.valid_from_d + 6):
             assert got.value_at(d) >= 0
+
+
+# -- the process-wide degree memo -----------------------------------------------
+
+memo = degrees._memoised_degree
+
+
+def test_degree_memo_keys_on_the_unordered_pair():
+    memo.cache_clear()
+    a = stratum_degree(SingularitySpec.omp(5), SingularitySpec.omp(3))
+    b = stratum_degree(SingularitySpec.omp(3), SingularitySpec.omp(5))
+    info = memo.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (1, 1, 1)
+    assert a is b and a == gysin_degree(two_omp_stratum(4, 2))
+
+
+@pytest.mark.parametrize("first, second", [
+    ("diagram:0,4,2,0", "diagram:0,2,4,0"),  # a diagram and its mirror
+    ("diagram:0,3,3,0", "omp:3"),  # a homogeneous diagram is an ordinary point
+])
+def test_degree_memo_shares_canonical_types(first, second):
+    memo.cache_clear()
+    a = stratum_degree(parse_type_spec(first))
+    assert stratum_degree(parse_type_spec(second)) is a
+    assert memo.cache_info().currsize == 1
+
+
+@pytest.mark.parametrize("pair", [
+    ("cusp:3", "omp:3"),  # an unsupported pair, refused by stratum_for
+    ("diagram:0,3,1,1,3,0", None),  # tangents on both axes, refused by canonical()
+])
+def test_degree_memo_stores_no_error(pair):
+    memo.cache_clear()
+    specs = [parse_type_spec(s) for s in pair if s is not None]
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            stratum_degree(*specs)
+    assert memo.cache_info().currsize == 0
+
+
+def test_degree_memo_equals_a_cold_build_over_the_query_pools(perfbench):
+    perfbench("checks")
+    pools = perfbench("workloads")
+    pairs = [(x, None) for x in pools.CHEAP_SINGLES + pools.KBRANCH_SINGLES] \
+        + list(pools.OMP_PAIRS + pools.NODE_PAIRS)
+    memo.cache_clear()
+    for x, y in pairs:
+        sx = parse_type_spec(x)
+        sy = parse_type_spec(y) if y is not None else None
+        stratum_degree(sx, sy)  # fills the entry
+        cold = memo.__wrapped__(*strata._dispatch_order(sx, sy))
+        assert stratum_degree(sx, sy) == cold
+        if sy is not None:
+            assert stratum_degree(sy, sx) == cold
+    info = memo.cache_info()
+    assert info.currsize == info.misses == len(pairs)
+
+
+def test_degree_memo_is_bounded():
+    maxsize = memo.cache_parameters()["maxsize"]
+    assert isinstance(maxsize, int) and 0 < maxsize < 10 ** 6
