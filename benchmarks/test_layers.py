@@ -13,8 +13,12 @@ commit, and compare the change with it:
 
 The rows run from small to large: the small products are the ones a
 per-product set-up cost would slow, the large ones those the product
-kernel is for.
+kernel is for.  The last row is the cold start every CLI process pays.
 """
+
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -139,3 +143,19 @@ def test_stratum_degree_cold(benchmark):
     got = benchmark.pedantic(stratum_degree, args=(sx, sy), setup=_memoised_degree.cache_clear,
                              rounds=100, warmup_rounds=1)
     assert got == gysin_degree(two_omp_stratum(14, 7))
+
+
+# A CLI process imports ``bistrata.cli`` before it does anything else.  The
+# interpreter runs with -S, so installed ``.pth`` hooks add nothing: the row
+# is a bare interpreter start plus the package's own import.
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+COLD_IMPORT = [sys.executable, "-S", "-c",
+               f"import sys; sys.path.insert(0, {str(SRC)!r}); import bistrata.cli"]
+
+
+def test_cold_import_cli(benchmark):
+    done = benchmark.pedantic(subprocess.run, args=(COLD_IMPORT,),
+                              kwargs={"capture_output": True, "check": True},
+                              rounds=20, warmup_rounds=1)
+    assert done.returncode == 0 and done.stderr == b""

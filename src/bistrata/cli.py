@@ -21,6 +21,7 @@ import io
 import json
 import sys
 
+from .coeffring import _DECIMAL
 from .collide import NewtonDiagram, SingularitySpec, collide_omp, is_linear, residual_multiplicity
 from .degrees import DegreeResult, stratum_degree
 from .strata import stratum_for
@@ -31,12 +32,26 @@ class SpecError(ValueError):
     """A malformed type spec string (usage error, exit code 2)."""
 
 
+def _decimal(text: str) -> int:
+    """An optionally signed ASCII decimal integer; anything else, the empty
+    string included, raises ValueError.  ``int`` alone would also take
+    underscores, surrounding whitespace and non-ASCII digits."""
+    if not _DECIMAL.fullmatch(text):
+        raise ValueError(f"invalid decimal integer {text!r}")
+    return int(text)
+
+
+# argparse names the type in its message: "argument --d: invalid int value: 'x'"
+_decimal.__name__ = "int"
+
+
 def parse_type_spec(text: str) -> SingularitySpec:
     kind, sep, rest = text.partition(":")
     if not sep:
         raise SpecError(f"type spec {text!r} needs 'kind:ints'")
     try:
-        numbers = [int(tok) for tok in rest.split(",") if tok != ""]
+        # a bare "kind:" reaches the arity check of its kind below
+        numbers = [_decimal(tok) for tok in rest.split(",")] if rest else []
     except ValueError:
         raise SpecError(f"type spec {text!r} carries non-integer parameters")
     try:
@@ -65,7 +80,7 @@ def parse_range(text: str) -> tuple[int, int]:
     if not sep:
         raise SpecError(f"range {text!r} needs the form a..b")
     try:
-        a, b = int(lo), int(hi)
+        a, b = _decimal(lo), _decimal(hi)
     except ValueError:
         raise SpecError(f"range {text!r} carries non-integer bounds")
     if a > b:
@@ -238,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_degree.add_argument("--x", required=True, metavar="SPEC")
     p_degree.add_argument("--y", metavar="SPEC")
     group = p_degree.add_mutually_exclusive_group()
-    group.add_argument("--d", type=int, help="numeric curve degree")
+    group.add_argument("--d", type=_decimal, help="numeric curve degree")
     group.add_argument("--symbolic-d", action="store_true",
                        help="keep d symbolic (default)")
     add_common(p_degree)
@@ -252,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--family", required=True, choices=tuple(TABLE_FAMILIES))
     p_table.add_argument("--p-range", required=True, metavar="A..B")
     p_table.add_argument("--q-range", metavar="A..B")
-    p_table.add_argument("--d", type=int, required=True,
+    p_table.add_argument("--d", type=_decimal, required=True,
                          help="numeric curve degree (table sizes depend on it)")
     add_common(p_table, formats=("csv", "json"))
 

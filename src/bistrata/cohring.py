@@ -52,12 +52,11 @@ is checked by multiplying it back through the product kernel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain
 from operator import lshift
 from typing import Collection, Iterable, Mapping, Sequence
 
+from ._value import Value
 from .coeffring import ParamPoly
 
 
@@ -70,23 +69,63 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-@dataclass(frozen=True)
-class VarSpec:
+def _packed_layout(truncations: tuple[int, ...]) -> tuple[tuple[int, ...], int, int, int]:
+    """Packed-exponent layout: (shifts, field, bias, guard).
+
+    Generator i owns the bits [w*j, w*j + w) of a packed exponent, with
+    j = n - 1 - i for n generators (generator 0 in the top field) and
+    w = max(truncation).bit_length() + 1, so 2^(w-1) > t_i for every
+    truncation t_i; field = 2^w - 1 masks one field.  A class stores each
+    exponent unbiased, as sum(e_i << w*j), so unbiased keys sort as their
+    exponent tuples do.  The left factor of a product adds the bias
+    2^(w-1) - t_i to each of its fields; the field of a packed sum then
+    holds e1 + e2 + 2^(w-1) - t_i, which lies in [0, 2^w) because
+    e1, e2 < t_i, so no field carries into the next.  Its top bit (the
+    guard) is set iff e1 + e2 >= t_i, so a term pair survives the
+    truncations iff (p1 + p2) & guard == 0, and the packed sum less the
+    bias is the unbiased key of the product monomial.  ``VarSpec`` keeps it
+    as ``_layout``; equality and hashing still see the generators only.
+    """
+    width = max(truncations, default=1).bit_length() + 1
+    half = 1 << (width - 1)
+    shifts = tuple(width * j for j in reversed(range(len(truncations))))
+    bias = sum((half - t) << s for t, s in zip(truncations, shifts))
+    guard = sum(half << s for s in shifts)
+    return shifts, (1 << width) - 1, bias, guard
+
+
+class VarSpec(Value):
     """Ordered nilpotent generators (name, truncation)."""
 
-    generators: tuple[tuple[str, int], ...]
+    _fields = ("generators",)
+    __slots__ = ("generators", "truncations", "_indices", "_layout")
 
-    def __post_init__(self):
-        for name, trunc in self.generators:
+    def __init__(self, generators: tuple[tuple[str, int], ...]):
+        for name, trunc in generators:
             if not isinstance(name, str):
                 raise ValueError(f"generator name must be a string, got {name!r}")
             if not _is_int(trunc):
                 raise ValueError(f"truncation of {name} must be an integer, got {trunc!r}")
             if trunc < 1:
                 raise ValueError(f"truncation of {name} must be >= 1, got {trunc}")
-        names = [n for n, _ in self.generators]
+        names = [n for n, _ in generators]
         if len(set(names)) != len(names):
             raise ValueError(f"generator names must be unique: {names}")
+        truncations = tuple(t for _, t in generators)
+        # generator name -> position
+        indices = {n: i for i, n in enumerate(names)}
+        self._assign(generators=generators, truncations=truncations, _indices=indices,
+                     _layout=_packed_layout(truncations))
+
+    # every sum and product compares ambients: read the field directly,
+    # not through the generic _values()
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.generators == other.generators
+
+    def __hash__(self) -> int:
+        return hash((self.generators,))
 
     @classmethod
     def projective(cls, names: Iterable[str]) -> "VarSpec":
@@ -96,15 +135,6 @@ class VarSpec:
     @property
     def names(self) -> tuple[str, ...]:
         return tuple(n for n, _ in self.generators)
-
-    @cached_property
-    def truncations(self) -> tuple[int, ...]:
-        return tuple(t for _, t in self.generators)
-
-    @cached_property
-    def _indices(self) -> dict[str, int]:
-        """Generator name -> position, built once per VarSpec."""
-        return {n: i for i, (n, _) in enumerate(self.generators)}
 
     def index(self, name: str) -> int:
         try:
@@ -130,31 +160,6 @@ class VarSpec:
     def top_exponent(self) -> tuple[int, ...]:
         """Exponent truncation-1 on every generator: the Gysin monomial."""
         return tuple(t - 1 for t in self.truncations)
-
-    @cached_property
-    def _layout(self) -> tuple[tuple[int, ...], int, int, int]:
-        """Packed-exponent layout: (shifts, field, bias, guard).
-
-        Generator i owns the bits [w*j, w*j + w) of a packed exponent, with
-        j = n - 1 - i for n generators (generator 0 in the top field) and
-        w = max(truncation).bit_length() + 1, so 2^(w-1) > t_i for every
-        truncation t_i; field = 2^w - 1 masks one field.  A class stores each
-        exponent unbiased, as sum(e_i << w*j), so unbiased keys sort as their
-        exponent tuples do.  The left factor of a product adds the bias
-        2^(w-1) - t_i to each of its fields; the field of a packed sum then
-        holds e1 + e2 + 2^(w-1) - t_i, which lies in [0, 2^w) because
-        e1, e2 < t_i, so no field carries into the next.  Its top bit (the
-        guard) is set iff e1 + e2 >= t_i, so a term pair survives the
-        truncations iff (p1 + p2) & guard == 0, and the packed sum less the
-        bias is the unbiased key of the product monomial.  Computed once per
-        VarSpec; equality and hashing still see the generators only.
-        """
-        width = max(self.truncations, default=1).bit_length() + 1
-        half = 1 << (width - 1)
-        shifts = tuple(width * j for j in reversed(range(len(self.generators))))
-        bias = sum((half - t) << s for t, s in zip(self.truncations, shifts))
-        guard = sum(half << s for s in shifts)
-        return shifts, (1 << width) - 1, bias, guard
 
     def _checked_key(self, exp: Sequence[int]) -> int:
         """Packed key of an exponent tuple that a class can hold.
@@ -320,7 +325,8 @@ class CohClass:
     # -- ring structure ------------------------------------------------------
 
     def _require_same_ambient(self, other: "CohClass"):
-        if self.ambient != other.ambient:
+        # classes of one stratum share one VarSpec: identity settles most calls
+        if self.ambient is not other.ambient and self.ambient != other.ambient:
             raise ValueError(
                 f"ambient mismatch: {self.ambient.names} vs {other.ambient.names}")
 

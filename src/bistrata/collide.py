@@ -16,19 +16,19 @@ data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
+from ._value import Value
 
-@dataclass(frozen=True)
-class NewtonDiagram:
+
+class NewtonDiagram(Value):
     """Staircase of lattice vertices, ascending in a, strictly descending in b."""
 
-    vertices: tuple[tuple[int, int], ...]
+    __slots__ = _fields = ("vertices",)
 
-    def __post_init__(self):
-        vs = self.vertices
+    def __init__(self, vertices: tuple[tuple[int, int], ...]):
+        vs = vertices
         if not vs:
             raise ValueError("a diagram needs at least one vertex")
         for a, b in vs:
@@ -42,6 +42,7 @@ class NewtonDiagram:
         for s1, s2 in zip(slopes, slopes[1:]):
             if not s1 < s2:
                 raise ValueError(f"non-convex vertex chain: slopes {slopes}")
+        self._assign(vertices=vertices)
 
     @classmethod
     def from_points(cls, points: Iterable[tuple[int, int]]) -> "NewtonDiagram":
@@ -112,8 +113,7 @@ class NewtonDiagram:
         return NewtonDiagram(tuple((b, a) for a, b in reversed(self.vertices)))
 
 
-@dataclass(frozen=True)
-class SingularitySpec:
+class SingularitySpec(Value):
     """A supported singularity type.
 
     kind is one of "omp", "cusp", "kbranch", "diagram":
@@ -128,9 +128,22 @@ class SingularitySpec:
                     tangent lines on both axes is refused (see canonical).
     """
 
-    kind: str
-    mults: tuple[int, ...] = ()
-    diagram: NewtonDiagram | None = None
+    __slots__ = _fields = ("kind", "mults", "diagram")
+
+    def __init__(self, kind: str, mults: tuple[int, ...] = (),
+                 diagram: NewtonDiagram | None = None):
+        self._assign(kind=kind, mults=mults, diagram=diagram)
+
+    # every degree-memo lookup hashes and compares its types: read the
+    # fields directly, not through the generic _values()
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind == other.kind and self.mults == other.mults
+                and self.diagram == other.diagram)
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.mults, self.diagram))
 
     @classmethod
     def omp(cls, m: int) -> "SingularitySpec":
@@ -184,8 +197,16 @@ class SingularitySpec:
         diagram, an ordinary point without a distinguished tangent, and
         becomes omp:m.  alpha > 0 and beta > 0 put tangents on both axes;
         the route traces only one of them, so no generator follows the
-        other: ValueError.  Other kinds are returned unchanged.
+        other: ValueError.
+
+        The branches of a marked-branch type are unordered, so a kbranch
+        type lists its multiplicities in descending order: kbranch:1,2 and
+        kbranch:2,1 are one type with one stratum.  Other kinds are returned
+        unchanged.
         """
+        if self.kind == "kbranch":
+            mults = tuple(sorted(self.mults, reverse=True))
+            return self if mults == self.mults else SingularitySpec("kbranch", mults)
         if self.kind != "diagram":
             return self
         nd = self.diagram

@@ -19,19 +19,18 @@ process sees no change.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Sequence
 
+from ._value import Value
 from .coeffring import InterpolationError, ParamPoly, binomial
 from .collide import SingularitySpec
 from .divisors import incidence_class
 from .strata import StratumClass, _dispatch_order, stratum_for
 
 
-@dataclass(frozen=True)
-class DegreeResult:
+class DegreeResult(Value):
     """An enumerative degree: raw top coefficient over a symmetry divisor.
 
     ``degree`` is the integer polynomial extracted from the lifted class;
@@ -40,10 +39,11 @@ class DegreeResult:
     division is recorded and performed exactly on values.
     """
 
-    degree: ParamPoly
-    aut_applied: int
-    valid_from_d: int
-    route: str
+    __slots__ = _fields = ("degree", "aut_applied", "valid_from_d", "route")
+
+    def __init__(self, degree: ParamPoly, aut_applied: int, valid_from_d: int, route: str):
+        self._assign(degree=degree, aut_applied=aut_applied, valid_from_d=valid_from_d,
+                     route=route)
 
     def value_at(self, d0: int) -> int:
         """Exact count at d = d0; a failed division signals a modeling bug."""
@@ -92,12 +92,12 @@ def _memoised_degree(sx: SingularitySpec, sy: SingularitySpec | None) -> DegreeR
     """``stratum_degree`` of types already in ``_dispatch_order``."""
     s = stratum_for(sx, sy)
     if sy is None and sx.kind in ("cusp", "diagram"):
-        s = replace(s, cls=s.cls * incidence_class(s.ambient, "X", "L"))
+        s = StratumClass(s.cls * incidence_class(s.ambient, "X", "L"),
+                         s.aut_order, s.valid_from_d, s.route)
     return gysin_degree(s)
 
 
-@dataclass(frozen=True)
-class ClosedForm:
+class ClosedForm(Value):
     """Exact bivariate closed form of a degree family.
 
     The polynomial lives in the variables (p, z) with z = d - p, stored in
@@ -107,9 +107,10 @@ class ClosedForm:
     (monomial coefficients of such families are genuinely fractional).
     """
 
-    p_base: int
-    grid: tuple[tuple[int, ...], ...]
-    holdout: int
+    __slots__ = _fields = ("p_base", "grid", "holdout")
+
+    def __init__(self, p_base: int, grid: tuple[tuple[int, ...], ...], holdout: int):
+        self._assign(p_base=p_base, grid=grid, holdout=holdout)
 
     def at_p(self, p0: int) -> ParamPoly:
         """The exact d-polynomial of the family member at integer p0."""
@@ -295,15 +296,19 @@ def reference_pair_correction(key: str, p: int) -> ParamPoly:
     raise ValueError(f"unknown correction family {key!r}")
 
 
-@dataclass(frozen=True)
-class ReferenceFormula:
-    """A literal transcription of a published degree, with its parameter domain."""
+class ReferenceFormula(Value):
+    """A literal transcription of a published degree, with its parameter domain.
 
-    key: str
-    evaluate: Callable[[int, int], ParamPoly]  # (p, q) -> polynomial in d
-    p_min: int
-    uses_q: bool
-    validity: Callable[[int, int], int]
+    ``evaluate`` maps (p, q) to the polynomial in d, ``validity`` maps
+    (p, q) to the least d the formula holds for.
+    """
+
+    __slots__ = _fields = ("key", "evaluate", "p_min", "uses_q", "validity")
+
+    def __init__(self, key: str, evaluate: Callable[[int, int], ParamPoly], p_min: int,
+                 uses_q: bool, validity: Callable[[int, int], int]):
+        self._assign(key=key, evaluate=evaluate, p_min=p_min, uses_q=uses_q,
+                     validity=validity)
 
     def domain(self, p_max: int, q_max: int):
         for p in range(self.p_min, p_max + 1):

@@ -23,8 +23,8 @@ Three construction routes appear:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._value import Value
 from .coeffring import ParamPoly
 from .cohring import CohClass, VarSpec, product_of
 from .collide import NewtonDiagram, SingularitySpec, is_linear
@@ -38,14 +38,13 @@ from .divisors import (
 )
 
 
-@dataclass(frozen=True)
-class StratumClass:
+class StratumClass(Value):
     """A lifted stratum class with its extraction metadata."""
 
-    cls: CohClass
-    aut_order: int
-    valid_from_d: int
-    route: str
+    __slots__ = _fields = ("cls", "aut_order", "valid_from_d", "route")
+
+    def __init__(self, cls: CohClass, aut_order: int, valid_from_d: int, route: str):
+        self._assign(cls=cls, aut_order=aut_order, valid_from_d=valid_from_d, route=route)
 
     @property
     def ambient(self) -> VarSpec:

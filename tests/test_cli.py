@@ -1,6 +1,10 @@
+import ast
 import csv
 import io
 import json
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -8,6 +12,9 @@ from bistrata import cli, degrees
 from bistrata.cli import build_parser, main, parse_range, parse_type_spec, SpecError
 from bistrata.coeffring import binomial
 from bistrata.collide import NewtonDiagram, SingularitySpec, collide_omp
+
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(*argv):
@@ -24,6 +31,12 @@ def test_parse_type_specs():
     assert nd_spec.diagram.vertices == ((0, 4), (2, 1), (3, 0))
     for bad in ("omp", "omp:x", "omp:1", "what:3", "diagram:1,2,3"):
         with pytest.raises(SpecError):
+            parse_type_spec(bad)
+    # only ASCII decimal integers, no empty token: int() alone would read
+    # the first four as omp:10, omp:3, omp:3 and omp:3
+    for bad in ("omp:1_0", "omp:\u0663", "omp: 3", "omp:3,", "kbranch:1,,2", "kbranch:,2",
+                "diagram:0,4,,2,0"):
+        with pytest.raises(SpecError, match="non-integer parameters"):
             parse_type_spec(bad)
 
 
@@ -45,6 +58,10 @@ def test_parse_range():
         parse_range("5..1")
     with pytest.raises(SpecError):
         parse_range("1-5")
+    assert parse_range("-2..+3") == (-2, 3)
+    for bad in ("1_0..12", "1..1_2", " 1..3", "1..3 ", "\u0661..3", "..3", "1.."):
+        with pytest.raises(SpecError, match="non-integer bounds"):
+            parse_range(bad)
 
 
 def test_degree_two_nodes_json():
@@ -190,6 +207,41 @@ def test_usage_error_exit_code():
     assert code == 2
     code, _, _ = run_cli("degree")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("degree", "--x", "omp:3", "--d", "4_0"),
+    ("degree", "--x", "omp:3", "--d", " 40"),
+    ("table", "--family", "omp", "--p-range", "1..3", "--d", "4_0"),
+])
+def test_numeric_d_takes_only_decimal_digits(argv):
+    code, out, err = run_cli(*argv)
+    assert code == 2 and out == ""
+    assert f"argument --d: invalid int value: {argv[-1]!r}" in err
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_class_reads_kbranch_orders_as_one_type(fmt):
+    _, first, _ = run_cli("class", "--x", "kbranch:1,2", "--format", fmt)
+    _, second, _ = run_cli("class", "--x", "kbranch:2,1", "--format", fmt)
+    if fmt == "text":  # the header names the spec as given
+        assert first.splitlines()[0] == "class (kbranch:1,2), total degree 11, aut 1:"
+        first, second = first.split("\n", 1)[1], second.split("\n", 1)[1]
+    assert first == second
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # -S: no site hook runs, so both modules are absent before the import
+    # and the difference below can see them arrive
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); "
+             "import bistrata.cli; print(sorted(before)); print(sorted(set(sys.modules) - before))")
+    done = subprocess.run([sys.executable, "-S", "-c", probe, str(SRC)],
+                          capture_output=True, text=True, check=True, timeout=60)
+    before, added = (set(ast.literal_eval(line)) for line in done.stdout.splitlines())
+    assert "bistrata.cli" in added
+    watched = {"dataclasses", "inspect"}
+    assert not watched & before
+    assert not watched & added
 
 
 def test_usage_errors_go_to_the_given_stream(capsys):

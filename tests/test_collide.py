@@ -126,3 +126,12 @@ def test_mirrored_swaps_coordinates():
     assert nd.mirrored().vertices == ((0, 3), (3, 1), (5, 0))
     assert nd.mirrored().mirrored() == nd
     assert nd.mirrored().kill_points() == sorted((b, a) for a, b in nd.kill_points())
+
+
+def test_canonical_sorts_kbranch_multiplicities_descending():
+    kb = SingularitySpec.kbranch
+    assert kb(1, 2).canonical() == kb(2, 1)
+    assert kb(1, 3, 1, 2).canonical() == kb(3, 2, 1, 1)
+    descending = kb(3, 2, 2, 1)
+    assert descending.canonical() is descending
+    assert stratum_for(kb(1, 2)) == stratum_for(kb(2, 1))

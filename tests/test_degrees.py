@@ -309,6 +309,17 @@ def test_degree_memo_shares_canonical_types(first, second):
     assert memo.cache_info().currsize == 1
 
 
+@pytest.mark.parametrize("partner", [None, "omp:2"])
+def test_degree_memo_shares_kbranch_orders(partner):
+    # the branches are unordered: both spellings are one type, one entry
+    sy = parse_type_spec(partner) if partner else None
+    memo.cache_clear()
+    a = stratum_degree(parse_type_spec("kbranch:1,2"), sy)
+    assert stratum_degree(parse_type_spec("kbranch:2,1"), sy) is a
+    info = memo.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (1, 1, 1)
+
+
 @pytest.mark.parametrize("pair", [
     ("cusp:3", "omp:3"),  # an unsupported pair, refused by stratum_for
     ("diagram:0,3,1,1,3,0", None),  # tangents on both axes, refused by canonical()
