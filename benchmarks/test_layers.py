@@ -29,7 +29,7 @@ from bistrata.degrees import _memoised_degree, gysin_degree, stratum_degree
 from bistrata.divisors import incidence_class, kill_tangent_cone_class, omp_conditions_class
 from bistrata.strata import (_two_omp_factors, _two_omp_product, cone_line_names,
                              kbranch_stratum, node_pair_recursion_parts, node_pair_stratum,
-                             two_omp_stratum)
+                             stratum_for, two_omp_stratum)
 
 XYL = VarSpec.projective(("X", "Y", "L"))
 
@@ -86,6 +86,13 @@ def test_product_of(benchmark):
     factors = _two_omp_factors(XYL, 6, 3)
     assert len(factors) == 13
     assert benchmark(product_of, factors) == _two_omp_product(XYL, 6, 3)
+
+
+def test_stratum_for_cusp(benchmark):
+    # a single cusp:9 built through the dispatch: 45 condition factors and
+    # 9 vertex kills over {X, L}
+    s = benchmark(stratum_for, SingularitySpec.cusp(9))
+    assert s.cls.total_degree == 45 + 9 and s.valid_from_d == 10
 
 
 def test_divide_cusp_node_pair(benchmark):

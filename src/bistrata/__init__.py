@@ -32,7 +32,6 @@ from .divisors import (
 )
 from .strata import (
     StratumClass,
-    cusp_stratum,
     diagram_stratum,
     kbranch_stratum,
     node_pair_stratum,
@@ -45,7 +44,7 @@ __all__ = [
     "CohClass", "ClosedForm", "DegreeResult", "ExactDivisionError",
     "InterpolationError", "NewtonDiagram", "ParamPoly", "SingularitySpec",
     "StratumClass", "VarSpec", "binomial", "closed_form_in_p", "collide_omp",
-    "cusp_stratum", "diagonal_class", "diagram_stratum", "exceptional_class",
+    "diagonal_class", "diagram_stratum", "exceptional_class",
     "gysin_degree", "incidence_class", "is_linear", "kbranch_stratum",
     "kill_tangent_cone_class", "monomial_kill_class", "node_pair_stratum",
     "omp_conditions_class", "omp_stratum", "product_of",

@@ -10,7 +10,7 @@ polynomial is zero.
 from __future__ import annotations
 
 import re
-from typing import Iterable
+from collections.abc import Iterable
 
 # a coefficient entry of the JSON schema: an optionally signed ASCII decimal integer
 _DECIMAL = re.compile(r"[+-]?[0-9]+")

@@ -52,9 +52,9 @@ is checked by multiplying it back through the product kernel.
 
 from __future__ import annotations
 
+from collections.abc import Collection, Iterable, Mapping, Sequence
 from itertools import chain
 from operator import lshift
-from typing import Collection, Iterable, Mapping, Sequence
 
 from ._value import Value
 from .coeffring import ParamPoly
@@ -307,16 +307,17 @@ class CohClass:
     @classmethod
     def divisor(cls, ambient: VarSpec, f_part, parts: Mapping[str, object] = ()) -> "CohClass":
         """Degree-1 class f_part * F + sum(parts[g] * g)."""
-        terms: dict[tuple[int, ...], ParamPoly] = {}
+        # packed keys directly: F's is 0, a generator's is 1 at its field's shift
         f_poly = _coerce_poly(f_part)
-        if not f_poly.is_zero():
-            terms[tuple([0] * len(ambient.generators))] = f_poly
+        terms = {0: f_poly} if f_poly else {}
         for name, coeff in dict(parts).items():
             poly = _coerce_poly(coeff)
-            if poly.is_zero():
-                continue
-            terms[ambient.exponent({name: 1})] = poly
-        return cls(ambient, 1, terms)
+            if poly:
+                i = ambient._indices.get(name)
+                if i is None or ambient.truncations[i] == 1:  # unknown, or g = 0
+                    ambient._checked_key(ambient.exponent({name: 1}))  # ValueError
+                terms[1 << ambient._layout[0][i]] = poly
+        return cls(ambient, 1, terms, _packed_keys=True)
 
     @classmethod
     def generator(cls, ambient: VarSpec, name: str) -> "CohClass":

@@ -16,8 +16,8 @@ data.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable
 
 from ._value import Value
 
@@ -37,10 +37,11 @@ class NewtonDiagram(Value):
         for (a1, b1), (a2, b2) in zip(vs, vs[1:]):
             if not (a1 < a2 and b1 > b2):
                 raise ValueError(f"vertices must descend strictly: {vs}")
-        # staircase convexity: slopes strictly increase (decrease in magnitude)
-        slopes = [Fraction(b2 - b1, a2 - a1) for (a1, b1), (a2, b2) in zip(vs, vs[1:])]
-        for s1, s2 in zip(slopes, slopes[1:]):
-            if not s1 < s2:
+        # staircase convexity: slopes strictly increase (decrease in magnitude),
+        # compared by cross-multiplying over the positive widths
+        for (a1, b1), (a2, b2), (a3, b3) in zip(vs, vs[1:], vs[2:]):
+            if not (b2 - b1) * (a3 - a2) < (b3 - b2) * (a2 - a1):
+                slopes = [Fraction(b2 - b1, a2 - a1) for (a1, b1), (a2, b2) in zip(vs, vs[1:])]
                 raise ValueError(f"non-convex vertex chain: slopes {slopes}")
         self._assign(vertices=vertices)
 
@@ -79,33 +80,23 @@ class NewtonDiagram(Value):
         """True when the staircase touches both coordinate axes."""
         return self.vertices[0][0] == 0 and self.vertices[-1][1] == 0
 
-    def boundary_at(self, a: int) -> Fraction:
-        """Height of the staircase envelope over abscissa a (convex pieces)."""
-        if not self.faces():
-            return Fraction(self.vertices[0][1])
-        return max(
-            Fraction(b1) + Fraction(b2 - b1, a2 - a1) * (a - a1)
-            for (a1, b1), (a2, b2) in self.faces()
-        )
-
     def kill_points(self) -> list[tuple[int, int]]:
         """Lattice points strictly under the staircase with a+b >= multiplicity.
 
         These are exactly the monomials that must be erased, beyond the bare
         multiplicity conditions, for a curve germ to acquire this diagram.
+        Over each abscissa, b is under the face above it below the
+        ceiling of the face's height, taken in integers.
         """
         if not self.is_commode():
             raise ValueError(f"diagram {self.vertices} does not touch both axes")
         m = self.multiplicity
         out = []
-        a_max = self.vertices[-1][0]
-        for a in range(0, a_max + 1):
-            height = self.boundary_at(a)
-            b = max(0, m - a)
-            while Fraction(b) < height:
-                if a + b >= m:
-                    out.append((a, b))
-                b += 1
+        for (a1, b1), (a2, b2) in self.faces():  # the last vertex has b = 0
+            da, db = a2 - a1, b2 - b1
+            for a in range(a1, a2):
+                top = -((-b1 * da - db * (a - a1)) // da)  # ceil(b1 + db*(a-a1)/da)
+                out += [(a, b) for b in range(max(0, m - a), top)]
         return out
 
     def mirrored(self) -> "NewtonDiagram":
@@ -120,7 +111,8 @@ class SingularitySpec(Value):
       omp(m)        ordinary point of multiplicity m >= 2, pairwise
                     non-tangent smooth branches;
       cusp(p)       one branch with local form x1^(p+1) + x2^p in
-                    line-adapted coordinates, multiplicity p >= 2;
+                    line-adapted coordinates, multiplicity p >= 2; also
+                    spelled kbranch:p or as its diagram (see canonical);
       kbranch(p_i)  pairwise non-tangent branches with tangent cone
                     l_1^(p_1) .. l_k^(p_k), generic next jet;
       diagram(nd)   the linear type of a Newton diagram, traced along the
@@ -187,7 +179,7 @@ class SingularitySpec(Value):
         raise ValueError(f"unsupported kind {self.kind!r}")
 
     def canonical(self) -> "SingularitySpec":
-        """The same type in the orientation the construction routes read.
+        """The normal form of the type: one spelling per type.
 
         The diagram route traces the tangent line {x1 = 0} on the vertical
         axis.  The lowest jet (the vertices on a + b = m) is divisible by
@@ -197,14 +189,19 @@ class SingularitySpec(Value):
         diagram, an ordinary point without a distinguished tangent, and
         becomes omp:m.  alpha > 0 and beta > 0 put tangents on both axes;
         the route traces only one of them, so no generator follows the
-        other: ValueError.
+        other: ValueError.  A diagram that is then (0, p+1), (p, 0) with
+        p >= 2 is the cusp and becomes cusp:p; with p = 1 it is a smooth
+        point and stays a diagram, which no route builds.
 
         The branches of a marked-branch type are unordered, so a kbranch
         type lists its multiplicities in descending order: kbranch:1,2 and
-        kbranch:2,1 are one type with one stratum.  Other kinds are returned
-        unchanged.
+        kbranch:2,1 are one type with one stratum.  A single branch,
+        kbranch:p, is the cusp and becomes cusp:p.  Other kinds are
+        returned unchanged.
         """
         if self.kind == "kbranch":
+            if len(self.mults) == 1:
+                return SingularitySpec.cusp(self.mults[0])
             mults = tuple(sorted(self.mults, reverse=True))
             return self if mults == self.mults else SingularitySpec("kbranch", mults)
         if self.kind != "diagram":
@@ -217,11 +214,13 @@ class SingularitySpec(Value):
             raise ValueError(
                 f"diagram {nd.vertices} has tangent lines on both axes (multiplicities "
                 f"{alpha} and {beta}); the diagram route traces only one of them")
+        if not alpha and not beta:
+            return SingularitySpec.omp(m)
         if beta:
-            return SingularitySpec.from_diagram(nd.mirrored())
-        if alpha:
-            return self
-        return SingularitySpec.omp(m)
+            nd = nd.mirrored()
+        if m >= 2 and nd.vertices == ((0, m + 1), (m, 0)):
+            return SingularitySpec.cusp(m)
+        return self if nd is self.diagram else SingularitySpec.from_diagram(nd)
 
     def describe(self) -> str:
         if self.kind == "omp":
@@ -231,6 +230,11 @@ class SingularitySpec(Value):
         if self.kind == "kbranch":
             return "kbranch:" + ",".join(str(m) for m in self.mults)
         return "diagram:" + ",".join(f"{a},{b}" for a, b in self.diagram.vertices)
+
+
+def cusp_diagram(p: int) -> NewtonDiagram:
+    """Diagram of the cusp of multiplicity p in canonical orientation."""
+    return NewtonDiagram(((0, p + 1), (p, 0)))
 
 
 def collide_omp(p: int, q: int) -> NewtonDiagram:
@@ -255,9 +259,6 @@ def residual_multiplicity(p: int, q: int) -> int:
 
 def is_linear(nd: NewtonDiagram) -> bool:
     """True when every face slope magnitude lies in [1/2, 2]."""
-    lo, hi = Fraction(1, 2), Fraction(2)
-    for (a1, b1), (a2, b2) in nd.faces():
-        slope = abs(Fraction(b2 - b1, a2 - a1))
-        if not lo <= slope <= hi:
-            return False
-    return True
+    # faces run rightwards and down: the magnitude is (b1-b2)/(a2-a1)
+    return all(a2 - a1 <= 2 * (b1 - b2) and b1 - b2 <= 2 * (a2 - a1)
+               for (a1, b1), (a2, b2) in nd.faces())

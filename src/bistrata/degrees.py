@@ -19,9 +19,9 @@ process sees no change.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Sequence
 
 from ._value import Value
 from .coeffring import InterpolationError, ParamPoly, binomial

@@ -9,13 +9,14 @@ any ambient that contains the generators it mentions.  Conventions:
 * ``monomial_kill_class(a, b)`` is the divisor erasing the Newton-diagram
   vertex with exponent a along the traced tangent line and exponent b
   transverse to it.  The orientation (which axis the traced line occupies)
-  is fixed by requiring the chain of kills on a cusp diagram to reproduce
-  the known cusp stratum product; a test pins this.
+  is fixed by requiring the chain of kills on the cusp diagram, times the
+  incidence of the point with its tangent, to equal the cone-kill division
+  of ``kbranch_stratum(p)``; a ``verify`` identity and a test pin this.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Sequence
 
 from .coeffring import ParamPoly, binomial
 from .cohring import CohClass, VarSpec

@@ -8,9 +8,10 @@ the connecting line, L1.. for tangent-cone lines.
 
 Three construction routes appear:
 
-* closed-form products (ordinary points, cusps, two ordinary points);
+* closed-form products (ordinary points, two ordinary points);
 * diagram products: multiplicity conditions times one vertex-erasing
-  divisor per lattice point missing under the Newton staircase;
+  divisor per lattice point missing under the Newton staircase (diagram
+  types and the cusp);
 * the cone-kill division: killing the tangent cone raises the multiplicity
   from p to p+1, so the class is an ordinary-point class divided by the
   killing divisor.  Marked-branch types divide the ordinary-point
@@ -27,7 +28,7 @@ import math
 from ._value import Value
 from .coeffring import ParamPoly
 from .cohring import CohClass, VarSpec, product_of
-from .collide import NewtonDiagram, SingularitySpec, is_linear
+from .collide import NewtonDiagram, SingularitySpec, cusp_diagram, is_linear
 from .divisors import (
     diagonal_class,
     exceptional_class,
@@ -88,6 +89,9 @@ def kbranch_stratum(*mults: int) -> StratumClass:
     by the kill divisor is injective on bounded classes, so ``divide_exact``
     finds that quotient and checks it by multiplying back.  Identical branch
     multiplicities are permuted by the deck symmetry, recorded in aut_order.
+
+    A single branch is the cusp: ``stratum_for`` builds it by its diagram
+    product, and ``verify`` compares that with this division.
     """
     spec = SingularitySpec.kbranch(*mults)
     p = sum(mults)
@@ -99,28 +103,6 @@ def kbranch_stratum(*mults: int) -> StratumClass:
     return StratumClass(cls, aut_order=_branch_symmetry(mults),
                         valid_from_d=spec.determinacy_order,
                         route="marked-branch product")
-
-
-def cusp_stratum(p: int) -> StratumClass:
-    """One branch of multiplicity p with contact order p+1 against its tangent.
-
-    Class over {X, L}: the multiplicity-p conditions times one vertex kill
-    per degree-p monomial off the tangent cone,
-
-        (F + (d-p+1)X)^binomial(p+1, 2) * prod_i (F + (d+i-2p)X + (p-2i)L).
-
-    The incidence of the point with the tangent line is not included; Gysin
-    extraction multiplies it in.
-    """
-    if p < 2:
-        raise ValueError("p must be >= 2")
-    ambient = VarSpec.projective(("X", "L"))
-    factors = [omp_conditions_class(ambient, p - 1)]
-    for i in range(p):
-        # kills the monomial with exponent p-i along the tangent, i transverse
-        factors.append(monomial_kill_class(ambient, p - i, i))
-    cls = product_of(factors)
-    return StratumClass(cls, aut_order=1, valid_from_d=p + 1, route="kill chain")
 
 
 def _diagram_product(nd: NewtonDiagram, ambient: VarSpec,
@@ -218,10 +200,11 @@ def stratum_for(sx: SingularitySpec, sy: SingularitySpec | None = None) -> Strat
     One type gives its single-point stratum.  A pair is unordered: two
     ordinary points use the closed product form (multiplicities sorted
     descending first), and a cusp or marked-branch type beside a node uses
-    the degeneration recursion; other pairs raise ValueError.  Diagram
-    types are first put in canonical orientation (``SingularitySpec.
-    canonical``), so a mirrored diagram gives the same class and a
-    homogeneous one is an ordinary point.
+    the degeneration recursion; other pairs raise ValueError.  Types are
+    first put in normal form (``SingularitySpec.canonical``): a mirrored
+    diagram gives the same class, a homogeneous one is an ordinary point,
+    and kbranch:p and the cusp diagram are cusp:p, built by its diagram
+    product.
 
     The class is returned bare.  For cusp and diagram types it lives over
     {X, L} but leaves out the incidence of the point with its tangent line
@@ -233,7 +216,7 @@ def stratum_for(sx: SingularitySpec, sy: SingularitySpec | None = None) -> Strat
         if sx.kind == "omp":
             return omp_stratum(sx.mults[0] - 1)
         if sx.kind == "cusp":
-            return cusp_stratum(sx.mults[0])
+            return diagram_stratum(cusp_diagram(sx.mults[0]))
         if sx.kind == "kbranch":
             return kbranch_stratum(*sx.mults)
         if sx.kind == "diagram":
@@ -278,13 +261,10 @@ def node_pair_recursion_parts(sx: SingularitySpec):
     simple-tangent coincidence, none along multiple-tangent coincidences)
     are established.  Returns (rhs, kill, ambient, line_names).
     """
-    if sx.kind == "cusp":
-        cone = (sx.mults[0],)
-    elif sx.kind == "kbranch":
-        cone = sx.mults
-    else:
+    if sx.kind not in ("cusp", "kbranch"):
         raise ValueError(
             f"recursion route supports cusp and kbranch types, not {sx.kind!r}")
+    cone = sx.mults
     p = sum(cone)
     if p < 2:
         raise ValueError("the singular point needs multiplicity >= 2")
@@ -320,11 +300,9 @@ def node_pair_stratum(sx: SingularitySpec) -> StratumClass:
     """Lifted stratum of sx at one point and a node at another, by recursion."""
     rhs, kill, ambient, names = node_pair_recursion_parts(sx)
     cls = rhs.divide_exact(kill)
-    aut = 1
-    if sx.kind == "kbranch":
-        aut = _branch_symmetry(sx.mults)
-        if sx.mults == (1, 1):
-            aut *= 2  # both points are then plain nodes, unordered
+    aut = _branch_symmetry(sx.mults)
+    if sx.mults == (1, 1):
+        aut *= 2  # both points are then plain nodes, unordered
     valid = sx.determinacy_order + 2
     return StratumClass(cls, aut_order=aut, valid_from_d=valid,
                         route="degeneration recursion via ordinary point")

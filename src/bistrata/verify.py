@@ -6,12 +6,13 @@ print one line per identity and the test suite can assert on the same data.
 
 from __future__ import annotations
 
+import math
 import random
-from typing import Callable
+from collections.abc import Callable
 
 from .coeffring import ParamPoly
 from .cohring import CohClass, VarSpec
-from .collide import NewtonDiagram, SingularitySpec
+from .collide import SingularitySpec, cusp_diagram
 from .degrees import (
     closed_form_in_p,
     gysin_degree,
@@ -23,7 +24,7 @@ from .degrees import (
     REFERENCE_FORMULAS,
 )
 from .divisors import diagonal_class, exceptional_class, incidence_class
-from .strata import cusp_stratum, diagram_stratum, node_pair_stratum, two_omp_stratum
+from .strata import _diagram_product, kbranch_stratum, node_pair_stratum, two_omp_stratum
 
 Check = tuple[str, bool, str]
 
@@ -59,6 +60,15 @@ def ring_checks(triples: int = 1000, seed: int = 20260809) -> list[Check]:
     return out
 
 
+def _marked_branch_check(k: int, partner: SingularitySpec | None = None) -> Check:
+    # k marked tangents, permuted by k!; both degrees are read from the memo
+    marked = stratum_degree(SingularitySpec.kbranch(*[1] * k), partner).degree
+    plain = stratum_degree(SingularitySpec.omp(k), partner).degree
+    where = f" beside {partner.describe()}" if partner else ""
+    return _check(f"kbranch 1^{k}{where} equals {k}! times omp:{k}",
+                  marked == math.factorial(k) * plain)
+
+
 def one_point_checks() -> list[Check]:
     out = []
     for p in range(1, 11):
@@ -66,9 +76,13 @@ def one_point_checks() -> list[Check]:
         out.append(_check(f"ordinary point p={p}: class route equals printed formula",
                           got == reference_omp(p)))
     for p in range(2, 7):
-        nd = NewtonDiagram.from_points([(p, 0), (0, p + 1)])
-        out.append(_check(f"cusp p={p}: diagram chain equals the closed product",
-                          diagram_stratum(nd).cls == cusp_stratum(p).cls))
+        ambient = VarSpec.projective(("X", "L1"))
+        chain = _diagram_product(cusp_diagram(p), ambient, line="L1")
+        out.append(_check(
+            f"cusp p={p}: diagram chain times (X+L1) equals the cone-kill division",
+            chain * incidence_class(ambient, "X", "L1") == kbranch_stratum(p).cls))
+    for k in range(2, 6):
+        out.append(_marked_branch_check(k))
     deg = stratum_degree(SingularitySpec.cusp(2)).degree
     hand = 12 * ParamPoly((-1, 1)) * ParamPoly((-2, 1))
     out.append(_check("cusp p=2 degree equals the hand expansion 12(d-1)(d-2)",
@@ -130,6 +144,8 @@ def recursion_checks() -> list[Check]:
     out.append(_check(
         "ordinary triple point beside a node: recursion equals the direct route",
         got.degree == 6 * reference_two_omp(2, 1)))
+    for k in (2, 4):
+        out.append(_marked_branch_check(k, SingularitySpec.omp(2)))
     for p in (2, 3):
         got = gysin_degree(node_pair_stratum(SingularitySpec.kbranch(p, 1)))
         want = (reference_kbranch((p, 1)) * reference_omp(1)

@@ -12,6 +12,7 @@ import pytest
 
 from bistrata.cli import main
 from bistrata.coeffring import ParamPoly
+from bistrata.cohring import VarSpec
 from bistrata.collide import NewtonDiagram, SingularitySpec
 from bistrata.degrees import (
     closed_form_in_p,
@@ -21,7 +22,14 @@ from bistrata.degrees import (
     reference_pair_correction,
     reference_two_omp,
 )
-from bistrata.strata import cusp_stratum, diagram_stratum, node_pair_stratum, two_omp_stratum
+from bistrata.divisors import incidence_class
+from bistrata.strata import (
+    _diagram_product,
+    kbranch_stratum,
+    node_pair_stratum,
+    stratum_for,
+    two_omp_stratum,
+)
 from bistrata.verify import (
     corollary_checks,
     integrality_checks,
@@ -64,18 +72,21 @@ def test_criterion_2_one_point_suite():
         failures = _failed(one_point_checks())
         # spot assertions pinned directly
         dm = lambda a: ParamPoly((-a, 1))
-        if gysin_degree(cusp_stratum(2)).degree is None:
+        if gysin_degree(stratum_for(SingularitySpec.cusp(2))).degree is None:
             failures.append("cusp stratum missing")
         for p in range(1, 11):
             from bistrata.strata import omp_stratum
             if gysin_degree(omp_stratum(p)).degree != reference_omp(p):
                 failures.append(f"omp p={p}")
         for p in range(2, 7):
+            ambient = VarSpec.projective(("X", "L1"))
             nd = NewtonDiagram.from_points([(p, 0), (0, p + 1)])
-            if diagram_stratum(nd).cls != cusp_stratum(p).cls:
-                failures.append(f"diagram/cusp p={p}")
+            chain = _diagram_product(nd, ambient, line="L1")
+            if chain * incidence_class(ambient, "X", "L1") != kbranch_stratum(p).cls:
+                failures.append(f"diagram chain/cone-kill division p={p}")
         return failures
-    _run(2, "one-point suite: ordinary points p=1..10, cusp chain p=2..6, "
+    _run(2, "one-point suite: ordinary points p=1..10, cusp diagram chain against "
+            "the cone-kill division p=2..6, kbranch 1^k against omp:k k=2..5, "
             "cusp degree 12(d-1)(d-2)", 1.0, body)
 
 

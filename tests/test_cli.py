@@ -11,7 +11,7 @@ import pytest
 from bistrata import cli, degrees
 from bistrata.cli import build_parser, main, parse_range, parse_type_spec, SpecError
 from bistrata.coeffring import binomial
-from bistrata.collide import NewtonDiagram, SingularitySpec, collide_omp
+from bistrata.collide import NewtonDiagram, SingularitySpec, collide_omp, cusp_diagram
 
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -231,7 +231,7 @@ def test_class_reads_kbranch_orders_as_one_type(fmt):
 
 
 def test_import_loads_neither_dataclasses_nor_inspect():
-    # -S: no site hook runs, so both modules are absent before the import
+    # -S: no site hook runs, so the watched modules are absent before the import
     # and the difference below can see them arrive
     probe = ("import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); "
              "import bistrata.cli; print(sorted(before)); print(sorted(set(sys.modules) - before))")
@@ -239,7 +239,7 @@ def test_import_loads_neither_dataclasses_nor_inspect():
                           capture_output=True, text=True, check=True, timeout=60)
     before, added = (set(ast.literal_eval(line)) for line in done.stdout.splitlines())
     assert "bistrata.cli" in added
-    watched = {"dataclasses", "inspect"}
+    watched = {"dataclasses", "inspect", "typing"}
     assert not watched & before
     assert not watched & added
 
@@ -353,7 +353,38 @@ def test_diagram_with_both_axes_tangent_exits_one():
                                   "diagram:0,5,4,0", "diagram:0,6,5,0"])
 def test_canonical_diagrams_keep_their_orientation(spec):
     sx = parse_type_spec(spec)
-    assert sx.canonical() == sx
+    canonical = sx.canonical()
+    if canonical.kind == "cusp":  # the cusp's normal form reads this very diagram
+        assert cusp_diagram(canonical.mults[0]) == sx.diagram
+    else:
+        assert canonical == sx
+
+
+@pytest.mark.parametrize("p", range(2, 13))
+def test_cusp_spellings_are_one_type(p):
+    spellings = (f"cusp:{p}", f"kbranch:{p}", f"diagram:0,{p + 1},{p},0",
+                 f"diagram:0,{p},{p + 1},0")
+    specs = [parse_type_spec(spelling) for spelling in spellings]
+    assert {spec.canonical() for spec in specs} == {SingularitySpec.cusp(p)}
+    outputs = {run_cli("class", "--x", spelling, "--format", "json") for spelling in spellings}
+    assert len(outputs) == 1
+    code, out, _ = outputs.pop()
+    assert code == 0 and json.loads(out)["route"] == "diagram product"
+
+
+@pytest.mark.parametrize("argv", [("class", "--format", "json"), ("degree",)])
+def test_cusp_diagram_beside_a_node_is_the_cusp_pair(argv):
+    verb, *fmt = argv
+    code, out, _ = run_cli(verb, "--x", "diagram:0,3,2,0", "--y", "omp:2", *fmt)
+    assert (code, out) == (0, run_cli(verb, "--x", "cusp:2", "--y", "omp:2", *fmt)[1])
+
+
+def test_smooth_diagram_exits_one():
+    # multiplicity 1 is a smooth point, not cusp:1
+    for argv in (("--x", "diagram:0,2,1,0"), ("--x", "diagram:0,1,2,0")):
+        code, out, err = run_cli("degree", *argv)
+        assert (code, out) == (1, "")
+        assert "smooth points have no stratum" in err
 
 
 def test_class_prints_the_bare_stratum():

@@ -53,6 +53,23 @@ def test_varspec_rejects_duplicates_and_bad_truncation():
             VarSpec(generators)
 
 
+@given(small_poly, small_poly, small_poly)
+def test_divisor_equals_the_class_of_its_terms(f, x, line):
+    got = divisor(XYL, f, X=x, L=line)
+    want = CohClass(XYL, 1, {(0, 0, 0): f, (1, 0, 0): x, (0, 0, 1): line})
+    assert got == want and list(got.terms.items()) == list(want.terms.items())
+
+
+def test_divisor_refuses_generators_it_cannot_hold():
+    with pytest.raises(ValueError, match="unknown generator 'Y'"):
+        divisor(XL, 1, Y=1)
+    # a generator truncated at 1 is zero: its degree-1 monomial is not reduced
+    xt = VarSpec((("X", 3), ("T", 1)))
+    with pytest.raises(ValueError, match="not reduced"):
+        divisor(xt, 1, T=1)
+    assert divisor(xt, 1, T=0) == CohClass(xt, 1, {(0, 0): 1})
+
+
 def test_reduced_form_is_enforced():
     with pytest.raises(ValueError):
         CohClass(XL, 3, {(3, 0): ParamPoly.const(1)})

@@ -6,6 +6,7 @@ from bistrata.collide import (
     NewtonDiagram,
     SingularitySpec,
     collide_omp,
+    cusp_diagram,
     is_linear,
     residual_multiplicity,
 )
@@ -135,3 +136,22 @@ def test_canonical_sorts_kbranch_multiplicities_descending():
     descending = kb(3, 2, 2, 1)
     assert descending.canonical() is descending
     assert stratum_for(kb(1, 2)) == stratum_for(kb(2, 1))
+
+
+def test_canonical_maps_cusp_spellings_to_cusp():
+    for p in (2, 3, 7):
+        cusp = SingularitySpec.cusp(p)
+        assert cusp.canonical() is cusp
+        assert SingularitySpec.kbranch(p).canonical() == cusp
+        nd = cusp_diagram(p)
+        assert nd.vertices == ((0, p + 1), (p, 0))
+        assert SingularitySpec.from_diagram(nd).canonical() == cusp
+        assert SingularitySpec.from_diagram(nd.mirrored()).canonical() == cusp
+    # multiplicity 1 is a smooth point: it stays a diagram, in canonical orientation
+    smooth = SingularitySpec.from_diagram(NewtonDiagram(((0, 2), (1, 0))))
+    assert smooth.canonical() is smooth
+    mirrored = SingularitySpec.from_diagram(NewtonDiagram(((0, 1), (2, 0))))
+    assert mirrored.canonical() == smooth
+    # a diagram near the cusp's is not the cusp
+    tacnode = SingularitySpec.from_diagram(NewtonDiagram(((0, 4), (2, 0))))
+    assert tacnode.canonical() is tacnode

@@ -4,12 +4,12 @@ import pytest
 
 from bistrata.coeffring import ParamPoly, binomial
 from bistrata.cohring import CohClass, VarSpec
-from bistrata.collide import NewtonDiagram, SingularitySpec, collide_omp
+from bistrata.collide import NewtonDiagram, SingularitySpec, collide_omp, cusp_diagram
 from bistrata.degrees import gysin_degree, reference_kbranch, reference_two_omp
 from bistrata.divisors import incidence_class
 from bistrata.strata import (
+    _diagram_product,
     cone_line_names,
-    cusp_stratum,
     diagram_stratum,
     kbranch_stratum,
     node_pair_recursion_parts,
@@ -90,22 +90,31 @@ def test_node_pair_seven_lines_reaches_reference():
 
 
 def test_cusp_stratum_structure():
-    s = cusp_stratum(2)
+    s = stratum_for(SingularitySpec.cusp(2))
     # (F+(d-1)X)^3 (F+(d-4)X+2L) (F+(d-3)X)
     assert s.cls.total_degree == 5
     assert s.valid_from_d == 3
-    assert cusp_stratum(3).valid_from_d == 4
+    assert stratum_for(SingularitySpec.cusp(3)).valid_from_d == 4
     # homogeneity: no stored monomial exceeds the total degree
     for exp in s.cls.terms:
         assert sum(exp) <= s.cls.total_degree
     with pytest.raises(ValueError):
-        cusp_stratum(1)
+        stratum_for(SingularitySpec.cusp(1))
 
 
 @pytest.mark.parametrize("p", range(2, 7))
 def test_diagram_stratum_equals_cusp_chain(p):
+    # the cusp's normal form is built by the diagram product of its diagram
     nd = NewtonDiagram.from_points([(p, 0), (0, p + 1)])
-    assert diagram_stratum(nd).cls == cusp_stratum(p).cls
+    assert stratum_for(SingularitySpec.cusp(p)) == diagram_stratum(nd)
+
+
+@pytest.mark.parametrize("p", range(2, 8))
+def test_cusp_diagram_chain_equals_cone_kill_division(p):
+    # a product route against a division route, over the same {X, L1}
+    ambient = VarSpec.projective(("X", "L1"))
+    chain = _diagram_product(cusp_diagram(p), ambient, line="L1")
+    assert chain * incidence_class(ambient, "X", "L1") == kbranch_stratum(p).cls
 
 
 def test_diagram_stratum_of_ordinary_point_has_no_kills():
