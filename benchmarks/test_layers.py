@@ -30,6 +30,7 @@ from bistrata.divisors import incidence_class, kill_tangent_cone_class, omp_cond
 from bistrata.strata import (_two_omp_factors, _two_omp_product, cone_line_names,
                              kbranch_stratum, node_pair_recursion_parts, node_pair_stratum,
                              stratum_for, two_omp_stratum)
+from bistrata.verify import run_suite
 
 XYL = VarSpec.projective(("X", "Y", "L"))
 
@@ -150,6 +151,17 @@ def test_stratum_degree_cold(benchmark):
     got = benchmark.pedantic(stratum_degree, args=(sx, sy), setup=_memoised_degree.cache_clear,
                              rounds=100, warmup_rounds=1)
     assert got == gysin_degree(two_omp_stratum(14, 7))
+
+
+# Two identity suites as a warm process runs them: ``ring`` multiplies
+# 1000 random triples, ``corollary`` reads its degrees from the memo and
+# builds one stratum fresh.
+
+@pytest.mark.parametrize("suite", ["ring", "corollary"])
+def test_verify_suite_warm(benchmark, suite):
+    run_suite(suite)  # fills the degree memo
+    checks = benchmark(run_suite, suite)
+    assert checks and all(ok for _, ok, _ in checks)
 
 
 # A CLI process imports ``bistrata.cli`` before it does anything else.  The

@@ -122,14 +122,18 @@ class ParamPoly:
     def __pow__(self, n: int) -> "ParamPoly":
         if n < 0:
             raise ValueError("negative powers are not defined")
-        result = ParamPoly.const(1)
+        if n == 0:
+            return ParamPoly.const(1)
+        # binary powering that neither multiplies by 1 nor squares past the top bit
+        result = None
         base = self
-        while n:
+        while True:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if not n:
+                return result
+            base = base * base
 
     def __call__(self, d0: int) -> int:
         """Exact value at d = d0 (Horner)."""

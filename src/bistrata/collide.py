@@ -110,8 +110,9 @@ class SingularitySpec(Value):
     kind is one of "omp", "cusp", "kbranch", "diagram":
       omp(m)        ordinary point of multiplicity m >= 2, pairwise
                     non-tangent smooth branches;
-      cusp(p)       one branch with local form x1^(p+1) + x2^p in
-                    line-adapted coordinates, multiplicity p >= 2; also
+      cusp(p)       one branch with local form x1^p + x2^(p+1) in
+                    line-adapted coordinates (tangent {x1 = 0}, diagram
+                    (0, p+1), (p, 0)), multiplicity p >= 2; also
                     spelled kbranch:p or as its diagram (see canonical);
       kbranch(p_i)  pairwise non-tangent branches with tangent cone
                     l_1^(p_1) .. l_k^(p_k), generic next jet;

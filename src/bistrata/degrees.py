@@ -12,9 +12,12 @@ fractional prefactors that must clear on integer inputs.
 bounded LRU of 1024 entries, keyed on the canonical unordered type pair and
 holding only the small ``DegreeResult``, never a class.  A refused type or
 pair raises on every call and is never stored.  The builders and
-``stratum_for`` are not memoised, so the ``class`` verb and the ``verify``
-identities built through the builders rebuild every time.  A one-shot CLI
-process sees no change.
+``stratum_for`` are not memoised, so the ``class`` verb rebuilds every
+time.  The ``verify`` identities that check a degree read it through
+``stratum_degree``, as ``degree`` and ``table`` do; two of them compare a
+memoised degree with a fresh build, and the class identities (the cusp's
+diagram chain, the division round trip) build their classes every time.
+A one-shot CLI process sees no change.
 """
 
 from __future__ import annotations

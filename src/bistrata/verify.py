@@ -2,6 +2,14 @@
 
 Each runner returns (name, passed, detail) triples so the command line can
 print one line per identity and the test suite can assert on the same data.
+
+An identity that checks the degree of a type or pair reads it through
+``stratum_degree``, the entry point whose results ``degree`` and ``table``
+print, so it covers the dispatch, the normal forms and the process-wide
+memo as well as the builder.  Two identities compare a memoised degree
+with a fresh build (``two_omp_stratum(6, 3)`` and ``node_pair_stratum``
+of ``cusp:4``), so every call still runs the builders and the ring kernel,
+and a bad memo entry cannot hide behind itself.
 """
 
 from __future__ import annotations
@@ -24,7 +32,13 @@ from .degrees import (
     REFERENCE_FORMULAS,
 )
 from .divisors import diagonal_class, exceptional_class, incidence_class
-from .strata import _diagram_product, kbranch_stratum, node_pair_stratum, two_omp_stratum
+from .strata import (
+    _diagram_product,
+    kbranch_stratum,
+    node_pair_recursion_parts,
+    node_pair_stratum,
+    two_omp_stratum,
+)
 
 Check = tuple[str, bool, str]
 
@@ -34,7 +48,24 @@ def _check(name: str, ok: bool, detail: str = "") -> Check:
 
 
 def _random_poly(rng: random.Random) -> ParamPoly:
-    return ParamPoly([rng.randint(-9, 9) for _ in range(rng.randint(1, 5))])
+    """1 to 5 coefficients in -9..9, the stream that
+    ``ParamPoly([rng.randint(-9, 9) for _ in range(rng.randint(1, 5))])`` draws.
+
+    ``randint(a, b)`` takes ``getrandbits(k)`` at k = the bit length of
+    ``b - a + 1`` until a draw falls below that width; drawing the same way
+    directly gives the same numbers without ``randint``'s argument handling.
+    """
+    bits = rng.getrandbits
+    length = bits(3)
+    while length >= 5:
+        length = bits(3)
+    coeffs = []
+    for _ in range(length + 1):
+        c = bits(5)
+        while c >= 19:
+            c = bits(5)
+        coeffs.append(c - 9)
+    return ParamPoly(coeffs)
 
 
 def ring_checks(triples: int = 1000, seed: int = 20260809) -> list[Check]:
@@ -42,10 +73,11 @@ def ring_checks(triples: int = 1000, seed: int = 20260809) -> list[Check]:
     rng = random.Random(seed)
     ok_assoc = ok_comm = ok_dist = True
     for _ in range(triples):
-        a, b, c = (_random_poly(rng) for _ in range(3))
-        ok_assoc = ok_assoc and (a * b) * c == a * (b * c)
-        ok_comm = ok_comm and a * b == b * a
-        ok_dist = ok_dist and a * (b + c) == a * b + a * c
+        a, b, c = _random_poly(rng), _random_poly(rng), _random_poly(rng)
+        ab = a * b
+        ok_assoc = ok_assoc and ab * c == a * (b * c)
+        ok_comm = ok_comm and ab == b * a
+        ok_dist = ok_dist and a * (b + c) == ab + a * c
     out.append(_check(f"coefficient ring axioms on {triples} random triples",
                       ok_assoc and ok_comm and ok_dist))
     amb = VarSpec.projective(("X", "Y", "L"))
@@ -58,6 +90,11 @@ def ring_checks(triples: int = 1000, seed: int = 20260809) -> list[Check]:
     out.append(_check("blowup pushforward identity (X+Y-L)(L+X)(L+Y) = (L+X)(X^2+XY+Y^2)",
                       lhs == rhs))
     return out
+
+
+def _two_omp_degree(p: int, q: int) -> ParamPoly:
+    """Raw degree of ordinary points of multiplicities p+1 and q+1, as ``degree`` prints it."""
+    return stratum_degree(SingularitySpec.omp(p + 1), SingularitySpec.omp(q + 1)).degree
 
 
 def _marked_branch_check(k: int, partner: SingularitySpec | None = None) -> Check:
@@ -94,10 +131,12 @@ def corollary_checks(p_max: int = 6) -> list[Check]:
     out = []
     for q in (1, 2, 3):
         for p in range(q, p_max + 1):
-            got = gysin_degree(two_omp_stratum(p, q)).degree
             out.append(_check(
                 f"two ordinary points (p={p}, q={q}): product equals the closed form",
-                got == reference_two_omp(p, q)))
+                _two_omp_degree(p, q) == reference_two_omp(p, q)))
+    fresh = gysin_degree(two_omp_stratum(6, 3))
+    out.append(_check("two ordinary points (p=6, q=3): memoised degree equals a fresh build",
+                      stratum_degree(SingularitySpec.omp(7), SingularitySpec.omp(4)) == fresh))
     pair = stratum_degree(SingularitySpec.omp(2), SingularitySpec.omp(2))
     out.append(_check("two nodes: 21 cubics through 7 points",
                       pair.value_at(3) == 21, f"got {pair.value_at(3)}"))
@@ -108,15 +147,14 @@ def corollary_checks(p_max: int = 6) -> list[Check]:
 
 def interpolation_checks() -> list[Check]:
     out = []
-    fam: Callable[[int], ParamPoly] = \
-        lambda p: gysin_degree(two_omp_stratum(p, 1)).degree
+    fam: Callable[[int], ParamPoly] = lambda p: _two_omp_degree(p, 1)
     form = closed_form_in_p(fam, 1, 8)
     ref = closed_form_in_p(lambda p: reference_two_omp(p, 1), 1, 8)
     out.append(_check("q=1 family p=1..8: recovered grid matches the printed form",
                       form.grid == ref.grid and form.p_base == ref.p_base))
     out.append(_check("q=1 family: held-out sample at p=9 matches",
                       form.at_p(9) == fam(9)))
-    fam2 = lambda p: gysin_degree(two_omp_stratum(p, 2)).degree
+    fam2 = lambda p: _two_omp_degree(p, 2)
     form2 = closed_form_in_p(fam2, 2, 9)
     ref2 = closed_form_in_p(lambda p: reference_two_omp(p, 2), 2, 9)
     out.append(_check("q=2 family p=2..9: recovered grid matches the printed form",
@@ -126,28 +164,31 @@ def interpolation_checks() -> list[Check]:
 
 def recursion_checks() -> list[Check]:
     out = []
+    node = SingularitySpec.omp(2)
     for p in (3, 4):
-        got = gysin_degree(node_pair_stratum(SingularitySpec.cusp(p)))
+        got = stratum_degree(SingularitySpec.cusp(p), node)
         want = (reference_kbranch((p,)) * reference_omp(1)
                 + reference_pair_correction("cusp-node", p))
         out.append(_check(
             f"cusp p={p} beside a node: recursion equals the printed closed form",
             got.degree == want))
+    fresh = gysin_degree(node_pair_stratum(SingularitySpec.cusp(4)))
+    out.append(_check("cusp p=4 beside a node: memoised degree equals a fresh build",
+                      stratum_degree(SingularitySpec.cusp(4), node) == fresh))
     # round trip: multiply back by the killing divisor and re-solve
-    from .strata import node_pair_recursion_parts
-    rhs, kill, ambient, _ = node_pair_recursion_parts(SingularitySpec.cusp(3))
+    rhs, kill, _, _ = node_pair_recursion_parts(SingularitySpec.cusp(3))
     cls = rhs.divide_exact(kill)
     out.append(_check("degeneration division round trip (cls * kill == rhs)",
                       cls * kill == rhs))
     # ordinary point with marked tangents: recursion against the direct product route
-    got = gysin_degree(node_pair_stratum(SingularitySpec.kbranch(1, 1, 1)))
+    got = stratum_degree(SingularitySpec.kbranch(1, 1, 1), node)
     out.append(_check(
         "ordinary triple point beside a node: recursion equals the direct route",
         got.degree == 6 * reference_two_omp(2, 1)))
     for k in (2, 4):
-        out.append(_marked_branch_check(k, SingularitySpec.omp(2)))
+        out.append(_marked_branch_check(k, node))
     for p in (2, 3):
-        got = gysin_degree(node_pair_stratum(SingularitySpec.kbranch(p, 1)))
+        got = stratum_degree(SingularitySpec.kbranch(p, 1), node)
         want = (reference_kbranch((p, 1)) * reference_omp(1)
                 + reference_pair_correction("cusp-branch-node", p))
         out.append(_check(
@@ -175,7 +216,7 @@ def integrality_checks(p_max: int = 8, q_max: int = 8) -> list[Check]:
             worst is None, worst or ""))
     ok = True
     for p in (1, 2, 3):
-        raw = gysin_degree(two_omp_stratum(p, p)).degree
+        raw = _two_omp_degree(p, p)
         ok = ok and all(raw(d) % 2 == 0 for d in range(2 * p + 2, 2 * p + 8))
     out.append(_check("equal multiplicities: raw two-point degree is even", ok))
     return out

@@ -59,6 +59,32 @@ def test_ring_axioms(a, b, c):
     assert a + b == b + a
 
 
+@given(polys)
+def test_power_is_repeated_multiplication(a):
+    product = ParamPoly.const(1)
+    for n in range(13):
+        assert a ** n == product
+        product = product * a
+
+
+@pytest.mark.parametrize("n, products", [(0, 0), (1, 0), (2, 1), (3, 2), (28, 6)])
+def test_power_takes_no_wasted_product(monkeypatch, n, products):
+    # one squaring per bit below the top one, one product per further set bit
+    calls = []
+    real = ParamPoly.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return real(self, other)
+
+    z = ParamPoly((-3, 1))
+    monkeypatch.setattr(ParamPoly, "__mul__", counted)
+    got = z ** n
+    monkeypatch.undo()
+    assert len(calls) == products
+    assert got(5) == 2 ** n
+
+
 @given(polys, st.integers(-5, 5))
 def test_evaluation_is_a_ring_map(a, d0):
     b = ParamPoly([2, -1])

@@ -1,0 +1,69 @@
+"""The identity suites check what the command line prints, on the same data
+every call."""
+
+import io
+import random
+
+import pytest
+
+from bistrata import degrees, strata, verify
+from bistrata.cli import main
+from bistrata.coeffring import ParamPoly
+from bistrata.collide import SingularitySpec
+from bistrata.degrees import DegreeResult
+
+
+def _randint_poly(rng):
+    # the ring suite's draw as first written, through random.randint
+    return ParamPoly([rng.randint(-9, 9) for _ in range(rng.randint(1, 5))])
+
+
+def test_ring_suite_draws_the_randint_stream():
+    fast, reference = random.Random(20260809), random.Random(20260809)
+    for _ in range(3000):  # the 1000 triples of a ring suite call
+        assert verify._random_poly(fast) == _randint_poly(reference)
+    assert fast.getstate() == reference.getstate()
+
+
+@pytest.fixture
+def clear_memo():
+    memo = degrees._memoised_degree
+    memo.cache_clear()
+    yield
+    memo.cache_clear()
+
+
+def test_warm_suites_build_only_their_fresh_identities(clear_memo, monkeypatch):
+    assert all(ok for _, ok, _ in verify.run_suite("all"))
+    built = []
+    for name in ("two_omp_stratum", "node_pair_stratum"):
+        real = getattr(strata, name)
+
+        def spy(*args, _name=name, _real=real):
+            built.append((_name, args))
+            return _real(*args)
+
+        # stratum_for looks the builders up in strata, verify in itself
+        monkeypatch.setattr(strata, name, spy)
+        monkeypatch.setattr(verify, name, spy)
+    for suite in ("corollary", "interpolation", "recursion"):
+        assert all(ok for _, ok, _ in verify.run_suite(suite))
+    assert built == [("two_omp_stratum", (6, 3)),
+                     ("node_pair_stratum", (SingularitySpec.cusp(4),))]
+
+
+def test_verify_fails_on_a_wrong_memo_entry(clear_memo, monkeypatch):
+    real = degrees._memoised_degree
+    bad_key = (SingularitySpec.omp(4), SingularitySpec.omp(2))
+
+    def wrong(sx, sy):
+        got = real(sx, sy)
+        if (sx, sy) == bad_key:
+            return DegreeResult(got.degree + 1, got.aut_applied, got.valid_from_d, got.route)
+        return got
+
+    monkeypatch.setattr(degrees, "_memoised_degree", wrong)
+    out = io.StringIO()
+    assert main(["verify", "--suite", "corollary"], out, io.StringIO()) == 1
+    failed = [line for line in out.getvalue().splitlines() if line.startswith("FAIL")]
+    assert failed == ["FAIL two ordinary points (p=3, q=1): product equals the closed form"]
