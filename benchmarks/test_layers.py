@@ -153,11 +153,11 @@ def test_stratum_degree_cold(benchmark):
     assert got == gysin_degree(two_omp_stratum(14, 7))
 
 
-# Two identity suites as a warm process runs them: ``ring`` multiplies
+# Three identity suites as a warm process runs them: ``ring`` multiplies
 # 1000 random triples, ``corollary`` reads its degrees from the memo and
-# builds one stratum fresh.
+# builds one stratum fresh, ``appendix`` evaluates the reference catalog.
 
-@pytest.mark.parametrize("suite", ["ring", "corollary"])
+@pytest.mark.parametrize("suite", ["ring", "corollary", "appendix"])
 def test_verify_suite_warm(benchmark, suite):
     run_suite(suite)  # fills the degree memo
     checks = benchmark(run_suite, suite)

@@ -16,9 +16,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import io
-import json
 import sys
 
 from .coeffring import _DECIMAL
@@ -97,6 +95,12 @@ def _below_validity(result: DegreeResult, d0: int | None, err, cell: str = "") -
     return below
 
 
+def _print_json(payload, out) -> None:
+    """Print payload as indented JSON; ``json`` loads on the first call."""
+    import json
+    print(json.dumps(payload, indent=2), file=out)
+
+
 def _family_label(args) -> str:
     label = args.x
     if args.y:
@@ -117,11 +121,12 @@ def cmd_degree(args, out, err) -> int:
         if d_numeric is not None:
             payload["value"] = result.value_at(d_numeric)
             payload["below_validity"] = below
-        print(json.dumps(payload, indent=2), file=out)
+        _print_json(payload, out)
     elif args.format == "csv":
         value = result.value_at(d_numeric) if d_numeric is not None else str(result)
         d_col = d_numeric if d_numeric is not None else "symbolic"
         # a diagram label carries commas: the csv module quotes it
+        import csv
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(("family", "p", "q", "d", "degree"))
         writer.writerow((_family_label(args), "", "", d_col, value))
@@ -143,7 +148,7 @@ def cmd_class(args, out, err) -> int:
         payload["aut"] = stratum.aut_order
         payload["valid_from_d"] = stratum.valid_from_d
         payload["route"] = stratum.route
-        print(json.dumps(payload, indent=2), file=out)
+        _print_json(payload, out)
     else:
         print(f"class ({_family_label(args)}), total degree "
               f"{stratum.cls.total_degree}, aut {stratum.aut_order}:", file=out)
@@ -191,7 +196,7 @@ def cmd_table(args, out, err) -> int:
     if args.format == "json":
         payload = [{"family": f, "p": p, "q": q if q != "" else None,
                     "d": d, "degree": v} for f, p, q, d, v in rows]
-        print(json.dumps(payload, indent=2), file=out)
+        _print_json(payload, out)
     else:
         print("family,p,q,d,degree", file=out)
         for f, p, q, d, v in rows:
@@ -228,7 +233,7 @@ def cmd_collide(args, out, err) -> int:
         "linear": is_linear(diagram),
     }
     if args.format == "json":
-        print(json.dumps(payload, indent=2), file=out)
+        _print_json(payload, out)
     else:
         print(f"collision of omp:{m_hi} and omp:{m_lo}", file=out)
         print(f"  vertices: {payload['vertices']}", file=out)
@@ -322,8 +327,13 @@ def main(argv: list[str] | None = None, stdout=None, stderr=None) -> int:
         if getattr(args, "out", None):
             buffer = io.StringIO()
             code = COMMANDS[args.verb](args, buffer, err)
-            with open(args.out, "w") as handle:
-                handle.write(buffer.getvalue())
+            try:
+                with open(args.out, "w") as handle:
+                    handle.write(buffer.getvalue())
+            except OSError as exc:  # as argparse treats a file argument it cannot open
+                print(f"usage error: cannot write --out {args.out}: {exc.strerror or exc}",
+                      file=err)
+                return 2
             return code
         return COMMANDS[args.verb](args, out, err)
     except SpecError as exc:

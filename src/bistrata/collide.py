@@ -17,7 +17,6 @@ data.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from fractions import Fraction
 
 from ._value import Value
 
@@ -41,6 +40,7 @@ class NewtonDiagram(Value):
         # compared by cross-multiplying over the positive widths
         for (a1, b1), (a2, b2), (a3, b3) in zip(vs, vs[1:], vs[2:]):
             if not (b2 - b1) * (a3 - a2) < (b3 - b2) * (a2 - a1):
+                from fractions import Fraction  # loaded on demand: only this message uses it
                 slopes = [Fraction(b2 - b1, a2 - a1) for (a1, b1), (a2, b2) in zip(vs, vs[1:])]
                 raise ValueError(f"non-convex vertex chain: slopes {slopes}")
         self._assign(vertices=vertices)

@@ -4,9 +4,10 @@ reference-formula catalog.
 The degree of a stratum is the coefficient of the top monomial in the
 auxiliary generators (exponent truncation-1 on each), divided by the order
 of the symmetry that permutes identical singularity data.  The catalog
-transcribes published closed forms literally, with rational intermediate
-arithmetic and an integrality assertion, since several of them carry
-fractional prefactors that must clear on integer inputs.
+transcribes published closed forms literally in exact integer arithmetic.
+Several of them carry fractional prefactors that must clear on integer
+inputs: each such coefficient is computed as one integer product and divided
+by the prefactor's denominator once, under an exactness assertion.
 
 ``stratum_degree`` results are memoised for the life of the process in a
 bounded LRU of 1024 entries, keyed on the canonical unordered type pair and
@@ -22,13 +23,13 @@ A one-shot CLI process sees no change.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable, Sequence
-from fractions import Fraction
 from functools import lru_cache
 
 from ._value import Value
 from .coeffring import InterpolationError, ParamPoly, binomial
-from .collide import SingularitySpec
+from .collide import NewtonDiagram, SingularitySpec
 from .divisors import incidence_class
 from .strata import StratumClass, _dispatch_order, stratum_for
 
@@ -155,19 +156,25 @@ def closed_form_in_p(family: Callable[[int], ParamPoly],
 # -- reference formulas ---------------------------------------------------------
 
 
-def _int(x: Fraction | int) -> int:
-    frac = Fraction(x)
-    if frac.denominator != 1:
-        raise ArithmeticError(f"expected an integer, got {frac}")
-    return int(frac)
+def _ratio(num: int, den: int) -> int:
+    """The exact quotient num / den (den > 0); a remainder raises ArithmeticError.
+
+    A transcribed coefficient with a fractional prefactor is one integer
+    product divided here once, so only the finished value must be divisible.
+    """
+    quotient, remainder = divmod(num, den)
+    if remainder:
+        g = math.gcd(num, den)
+        raise ArithmeticError(f"expected an integer, got {num // g}/{den // g}")
+    return quotient
 
 
-def _zpoly(p: int, *terms: tuple[int, Fraction | int]) -> ParamPoly:
-    """Polynomial sum(c_k * (d-p)^k) from (k, c_k) pairs; asserts integrality."""
+def _zpoly(p: int, *terms: tuple[int, int]) -> ParamPoly:
+    """Polynomial sum(c_k * (d-p)^k) from (k, c_k) pairs."""
     z = ParamPoly((-p, 1))
     acc = ParamPoly()
     for k, c in terms:
-        acc = acc + _int(c) * z ** k
+        acc = acc + c * z ** k
     return acc
 
 
@@ -191,19 +198,19 @@ def reference_kbranch(mults: Sequence[int]) -> ParamPoly:
     for m in mults:
         prod_p *= m
     pair_sum = sum(mults[i] * mults[j] for i in range(k) for j in range(i + 1, k))
-    quad = Fraction(prod_p) * fact[k] * binomial(big_m - 1 - k, 2)
-    lin = Fraction(prod_p) * fact[k - 1] * binomial(k + 1, 2) * binomial(big_m - 2 - k, 1) * p
-    const = Fraction(0)
+    quad = prod_p * fact[k] * binomial(big_m - 1 - k, 2)
+    lin = prod_p * fact[k - 1] * binomial(k + 1, 2) * binomial(big_m - 2 - k, 1) * p
+    const = 0
     if k >= 2:
-        const = Fraction(prod_p) * fact[k - 2] * binomial(k, 2) * binomial(k + 2, 2) * pair_sum
-    return _zpoly(p, (2, quad / sym), (1, lin / sym), (0, const / sym))
+        const = prod_p * fact[k - 2] * binomial(k, 2) * binomial(k + 2, 2) * pair_sum
+    return _zpoly(p, (2, _ratio(quad, sym)), (1, _ratio(lin, sym)), (0, _ratio(const, sym)))
 
 
 def reference_cusp_with_smooth_contact(p: int) -> ParamPoly:
     """Type (x1^(p-1)+x2^p)(x1+x2^2): one tangent line of full multiplicity."""
     if p < 3:
         raise ValueError("the type needs p >= 3")
-    quad = Fraction(p * (p + 4) * (p - 1), 8) * (2 * p ** 3 + 7 * p ** 2 - 5 * p - 2)
+    quad = _ratio(p * (p + 4) * (p - 1) * (2 * p ** 3 + 7 * p ** 2 - 5 * p - 2), 8)
     # literal transcription: the linear piece carries (d-p)(d-2(p+1))
     lin = (binomial(p + 2, 2) - 3) * p * p
     z = ParamPoly((-p, 1))
@@ -221,21 +228,20 @@ def reference_two_omp(p: int, q: int) -> ParamPoly:
     if q == 1:
         return 9 * binomial(p + 3, 4) * ParamPoly((-p, 1)) ** 3 * ParamPoly((p - 2, 1)) \
             + _zpoly(p,
-                     (2, -Fraction(3, 4) * binomial(p + 2, 3) * (10 * p * p + 39 * p + 7)),
+                     (2, _ratio(-3 * binomial(p + 2, 3) * (10 * p * p + 39 * p + 7), 4)),
                      (1, 3 * binomial(p + 2, 3) * (6 + 5 * p)))
     if q == 2:
         return 45 * binomial(p + 3, 4) * ParamPoly((-p, 1)) ** 3 * ParamPoly((p - 4, 1)) \
             + _zpoly(p,
-                     (2, -Fraction(5, 8) * (p + 1)
-                      * (14 * p ** 4 + 105 * p ** 3 + 147 * p ** 2 + 114 * p - 80)),
+                     (2, _ratio(-5 * (p + 1)
+                                * (14 * p ** 4 + 105 * p ** 3 + 147 * p ** 2 + 114 * p - 80), 8)),
                      (1, 2 * (8 + 3 * p + p * p) * (35 * p * p + 20 * p - 12)),
                      (0, -6 * (85 * p * p + 45 * p - 28)))
     if q == 3:
         return 135 * binomial(p + 3, 4) * ParamPoly((-p, 1)) ** 3 * ParamPoly((p - 6, 1)) \
             + _zpoly(p,
-                     (2, -Fraction(5, 8)
-                      * (54 * p ** 5 + 527 * p ** 4 + 948 * p ** 3
-                         + 1853 * p ** 2 - 894 * p - 1152)),
+                     (2, _ratio(-5 * (54 * p ** 5 + 527 * p ** 4 + 948 * p ** 3
+                                     + 1853 * p ** 2 - 894 * p - 1152), 8)),
                      (1, 2 * (16 + 3 * p + p * p) * (270 * p * p - 20 * p - 117)),
                      (0, -14 * (830 * p * p - 105 * p - 348)))
     raise ValueError(f"no published closed form for q = {q}")
@@ -246,38 +252,38 @@ def reference_pair_correction(key: str, p: int) -> ParamPoly:
     z = ParamPoly((-p, 1))
     if key == "omp-node":
         return _zpoly(p,
-                      (2, -Fraction(3, 4) * binomial(p + 2, 3) * (3 * p + 4)
-                       * (p * p + 3 * p + 4)),
+                      (2, _ratio(-3 * binomial(p + 2, 3) * (3 * p + 4)
+                                 * (p * p + 3 * p + 4), 4)),
                       (1, 3 * binomial(p + 2, 3) * (5 * p + 6)))
     if key == "omp-triple":
         return _zpoly(p,
-                      (2, -Fraction(5, 8) * (p + 1) * (3 * p - 1)
-                       * (p * p + 3 * p + 8) * (p * p + 3 * p + 10)),
+                      (2, _ratio(-5 * (p + 1) * (3 * p - 1)
+                                 * (p * p + 3 * p + 8) * (p * p + 3 * p + 10), 8)),
                       (1, 2 * (p * p + 3 * p + 8) * (35 * p * p + 20 * p - 12)),
                       (0, -6 * (85 * p * p + 45 * p - 28)))
     if key == "omp-quadruple":
         return _zpoly(p,
-                      (2, -Fraction(5, 8) * (3 * p + 2) * (3 * p - 2)
-                       * (p * p + 3 * p + 16) * (p * p + 3 * p + 18)),
+                      (2, _ratio(-5 * (3 * p + 2) * (3 * p - 2)
+                                 * (p * p + 3 * p + 16) * (p * p + 3 * p + 18), 8)),
                       (1, 2 * (p * p + 3 * p + 16) * (270 * p * p - 20 * p - 117)),
                       (0, -14 * (830 * p * p - 105 * p - 348)))
     if key == "cusp-node":
         return _zpoly(p,
-                      (2, -Fraction(3, 8) * p ** 4 * (3 + p) * (p * p + 3 * p - 2)),
-                      (1, -Fraction(3, 2) * (p - 1) * p ** 3 * (p * p + 3 * p - 2)),
+                      (2, _ratio(-3 * p ** 4 * (3 + p) * (p * p + 3 * p - 2), 8)),
+                      (1, _ratio(-3 * (p - 1) * p ** 3 * (p * p + 3 * p - 2), 2)),
                       (0, 3 * p ** 4))
     if key == "cusp-branch-node":
         return _zpoly(p,
-                      (2, -Fraction(p * p * (5 + p), 8) * (2 + 5 * p + p * p)
-                       * (2 + 11 * p + 6 * p * p)),
-                      (1, Fraction((p + 1) * (p + 5) * p ** 3, 4)
-                       * (2 * p + 3) * (3 * p + 4)),
-                      (0, -Fraction(p * p * (p - 1), 8)
-                       * (6 * p ** 4 + 41 * p ** 3 + 55 * p ** 2 + 64 * p + 92)))
+                      (2, _ratio(-p * p * (5 + p) * (2 + 5 * p + p * p)
+                                 * (2 + 11 * p + 6 * p * p), 8)),
+                      (1, _ratio((p + 1) * (p + 5) * p ** 3
+                                 * (2 * p + 3) * (3 * p + 4), 4)),
+                      (0, _ratio(-p * p * (p - 1)
+                                 * (6 * p ** 4 + 41 * p ** 3 + 55 * p ** 2 + 64 * p + 92), 8)))
     if key == "cusp-two-branch-node":
         return _zpoly(p,
-                      (2, -Fraction(p * (1 + p) * (p + 6), 4) * (p * p + 7 * p + 4)
-                       * (9 * p * p + 34 * p + 24)),
+                      (2, _ratio(-p * (1 + p) * (p + 6) * (p * p + 7 * p + 4)
+                                 * (9 * p * p + 34 * p + 24), 4)),
                       (1, p * (p * p + 7 * p + 4)
                        * (9 * p ** 4 + 79 * p ** 3 + 220 * p ** 2 + 216 * p + 63)),
                       (0, -p * (9 * p ** 6 + 124 * p ** 5 + 587 * p ** 4
@@ -285,16 +291,16 @@ def reference_pair_correction(key: str, p: int) -> ParamPoly:
     if key == "smooth-contact-node":
         return _zpoly(p,
                       (2, -9 * binomial(p + 3, 4) * p * (4 + p + 2 * p * p)),
-                      (1, -Fraction(3, 2) * p * p * (3 + p) * (p ** 3 - 3 * p * p - p - 8)),
+                      (1, _ratio(-3 * p * p * (3 + p) * (p ** 3 - 3 * p * p - p - 8), 2)),
                       (0, 3 * p * (p ** 4 + 3 * p ** 3 + 3 * p ** 2 + 4 * p - 4)))
     if key == "tacnodal-pair-node":
         if p <= 2:
             raise ValueError("the type needs p > 2")
         return _zpoly(p,
-                      (2, -Fraction(3, 8) * (p * p + 3 * p + 6) * (p * p + 3 * p + 8)
-                       * (3 * p ** 3 + 6 * p * p + 12 * p + 5)),
-                      (1, Fraction(3, 2) * (p * p + 3 * p + 6)
-                       * (3 * p ** 4 + 23 * p ** 3 + 48 * p ** 2 + 81 * p + 29)),
+                      (2, _ratio(-3 * (p * p + 3 * p + 6) * (p * p + 3 * p + 8)
+                                 * (3 * p ** 3 + 6 * p * p + 12 * p + 5), 8)),
+                      (1, _ratio(3 * (p * p + 3 * p + 6)
+                                 * (3 * p ** 4 + 23 * p ** 3 + 48 * p ** 2 + 81 * p + 29), 2)),
                       (0, -3 * (57 + 182 * p + 118 * p * p + 51 * p ** 3 + 10 * p ** 4)))
     raise ValueError(f"unknown correction family {key!r}")
 
@@ -382,7 +388,6 @@ def reference_tacnodal_pair(p: int) -> ParamPoly:
     No closed form for the single-point factor is printed beside the pair
     formula; the class route supplies it.
     """
-    from .collide import NewtonDiagram
     if p <= 2:
         raise ValueError("the type needs p > 2")
     nd = NewtonDiagram.from_points([(p, 0), (2, p - 2), (0, p + 2)])

@@ -2,6 +2,7 @@ import ast
 import csv
 import io
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -194,6 +195,17 @@ def test_table_refuses_ranges_it_would_ignore(tmp_path, argv, message):
     assert not target.exists()
 
 
+@pytest.mark.parametrize("where", ["missing", "directory"])
+def test_out_that_cannot_be_written_is_a_usage_error(tmp_path, where):
+    target = tmp_path / "absent" / "table.csv" if where == "missing" else tmp_path
+    code, out, err = run_cli("table", "--family", "omp", "--p-range", "1..3",
+                             "--d", "6", "--out", str(target))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"usage error: cannot write --out {target}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "absent").exists()
+
+
 def test_verify_suite_exits_zero():
     code, out, _ = run_cli("verify", "--suite", "corollary")
     assert code == 0
@@ -230,18 +242,49 @@ def test_class_reads_kbranch_orders_as_one_type(fmt):
     assert first == second
 
 
-def test_import_loads_neither_dataclasses_nor_inspect():
+def _modules_before_and_added_by_import():
     # -S: no site hook runs, so the watched modules are absent before the import
-    # and the difference below can see them arrive
+    # and the difference can see them arrive
     probe = ("import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); "
              "import bistrata.cli; print(sorted(before)); print(sorted(set(sys.modules) - before))")
     done = subprocess.run([sys.executable, "-S", "-c", probe, str(SRC)],
                           capture_output=True, text=True, check=True, timeout=60)
     before, added = (set(ast.literal_eval(line)) for line in done.stdout.splitlines())
     assert "bistrata.cli" in added
+    return before, added
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    before, added = _modules_before_and_added_by_import()
     watched = {"dataclasses", "inspect", "typing"}
     assert not watched & before
     assert not watched & added
+
+
+def test_import_loads_no_module_that_only_some_outputs_use():
+    # fractions (with decimal and numbers) only for a non-convex diagram's
+    # message, json and csv only for the formats that print them
+    before, added = _modules_before_and_added_by_import()
+    watched = {"fractions", "decimal", "numbers", "json", "csv"}
+    assert not watched & before
+    assert not watched & added
+
+
+@pytest.mark.parametrize("argv", [
+    ("degree", "--x", "omp:3", "--d", "5", "--format", "json"),
+    ("degree", "--x", "diagram:0,4,2,0", "--format", "csv"),
+    ("class", "--x", "omp:2", "--format", "json"),
+    ("collide", "--x", "omp:4", "--y", "omp:2", "--format", "json"),
+    ("table", "--family", "omp", "--p-range", "1..3", "--d", "6", "--format", "json"),
+])
+def test_formats_load_their_modules_in_a_fresh_process(argv):
+    done = subprocess.run([sys.executable, "-m", "bistrata.cli", *argv],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert (done.returncode, done.stderr) == (0, "")
+    assert (0, done.stdout, "") == run_cli(*argv)
+    if "csv" in argv:  # the diagram label carries commas
+        assert '\n"diagram:0,4,2,0",,,symbolic,' in done.stdout
 
 
 def test_usage_errors_go_to_the_given_stream(capsys):

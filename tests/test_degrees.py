@@ -1,4 +1,6 @@
+import hashlib
 import io
+import json
 
 import pytest
 from hypothesis import assume, example, given, strategies as st
@@ -172,6 +174,23 @@ def test_degree_values_nonnegative_in_validity_range():
     for res in cases:
         for d in range(res.valid_from_d, res.valid_from_d + 6):
             assert res.value_at(d) >= 0
+
+
+def test_catalog_values_are_pinned():
+    # computed with rational intermediate arithmetic before the catalog
+    # moved to exact integer division; every value must stay the same
+    payload = {f.key: [[p, q, f.evaluate(p, q).to_json()] for p, q in f.domain(12, 12)]
+               for f in REFERENCE_FORMULAS}
+    digest = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+    assert digest == "62900791e6d9853f064b8c60c7ace69ef96bc15344e0551495a3a14f7a2aea38"
+
+
+def test_ratio_divides_exactly_or_raises_in_lowest_terms():
+    assert degrees._ratio(-8, 4) == -2
+    assert degrees._ratio(0, 8) == 0
+    for num, den, shown in ((3, 4, "3/4"), (-6, 4, "-3/2")):
+        with pytest.raises(ArithmeticError, match=f"^expected an integer, got {shown}$"):
+            degrees._ratio(num, den)
 
 
 def test_catalog_keys_are_unique():
