@@ -13,23 +13,29 @@ commit, and compare the change with it:
 
 The rows run from small to large: the small products are the ones a
 per-product set-up cost would slow, the large ones those the product
-kernel is for.  The last row is the cold start every CLI process pays.
+kernel is for.  Then come whole calls as a warm process serves them, and
+last the cold start every CLI process pays.
 """
 
+import io
+import json
+import os
 import pathlib
 import subprocess
 import sys
 
 import pytest
 
+from bistrata.cli import _class_json, main
 from bistrata.coeffring import ParamPoly
 from bistrata.cohring import CohClass, VarSpec, product_of
 from bistrata.collide import SingularitySpec
 from bistrata.degrees import _memoised_degree, gysin_degree, stratum_degree
 from bistrata.divisors import incidence_class, kill_tangent_cone_class, omp_conditions_class
-from bistrata.strata import (_two_omp_factors, _two_omp_product, cone_line_names,
-                             kbranch_stratum, node_pair_recursion_parts, node_pair_stratum,
-                             stratum_for, two_omp_stratum)
+from bistrata.strata import (StratumClass, _memoised_stratum, _two_omp_factors,
+                             _two_omp_product, cone_line_names, kbranch_stratum,
+                             node_pair_recursion_parts, node_pair_stratum, stratum_for,
+                             two_omp_stratum)
 from bistrata.verify import run_suite
 
 XYL = VarSpec.projective(("X", "Y", "L"))
@@ -91,8 +97,9 @@ def test_product_of(benchmark):
 
 def test_stratum_for_cusp(benchmark):
     # a single cusp:9 built through the dispatch: 45 condition factors and
-    # 9 vertex kills over {X, L}
-    s = benchmark(stratum_for, SingularitySpec.cusp(9))
+    # 9 vertex kills over {X, L}; the stratum memo is cleared before each call
+    s = benchmark.pedantic(stratum_for, args=(SingularitySpec.cusp(9),),
+                           setup=_memoised_stratum.cache_clear, rounds=100, warmup_rounds=1)
     assert s.cls.total_degree == 45 + 9 and s.valid_from_d == 10
 
 
@@ -132,6 +139,15 @@ def test_from_json(benchmark, node_pair_parts):
     assert benchmark(CohClass.from_json, quotient.to_json()) == quotient
 
 
+def test_class_json_writer(benchmark, node_pair_parts):
+    # what ``class --format json`` prints for the same quotient
+    _, _, quotient = node_pair_parts
+    stratum = StratumClass(quotient, 120, 4, "degeneration recursion via ordinary point")
+    payload = quotient.to_json()
+    payload.update(aut=120, valid_from_d=4, route=stratum.route)
+    assert benchmark(_class_json, stratum) == json.dumps(payload, indent=2)
+
+
 def test_gysin_degree(benchmark):
     s = kbranch_stratum(1, 1, 1, 1, 1)
     assert benchmark(gysin_degree, s).degree == s.cls.coefficient(s.ambient.top_exponent())
@@ -153,6 +169,30 @@ def test_stratum_degree_cold(benchmark):
     assert got == gysin_degree(two_omp_stratum(14, 7))
 
 
+# One ``class`` call through ``main``, as a warm process serves it: the
+# stratum comes from the memo, or is built when the memo is cleared first.
+
+CLASS_ARGV = ["class", "--x", "kbranch:2,1", "--y", "omp:2", "--format", "json"]
+
+
+def _class_call() -> str:
+    out = io.StringIO()
+    assert main(CLASS_ARGV, out, io.StringIO()) == 0
+    return out.getvalue()
+
+
+def test_class_json_main_warm(benchmark):
+    want = _class_call()  # fills the entry
+    assert benchmark(_class_call) == want
+
+
+def test_class_json_main_cold(benchmark):
+    want = _class_call()
+    got = benchmark.pedantic(_class_call, setup=_memoised_stratum.cache_clear,
+                             rounds=100, warmup_rounds=1)
+    assert got == want
+
+
 # Three identity suites as a warm process runs them: ``ring`` multiplies
 # 1000 random triples, ``corollary`` reads its degrees from the memo and
 # builds one stratum fresh, ``appendix`` evaluates the reference catalog.
@@ -166,15 +206,30 @@ def test_verify_suite_warm(benchmark, suite):
 
 # A CLI process imports ``bistrata.cli`` before it does anything else.  The
 # interpreter runs with -S, so installed ``.pth`` hooks add nothing: the row
-# is a bare interpreter start plus the package's own import.
+# is a bare interpreter start plus the package's own import.  Bytecode is
+# read from a cache of the row's own (``PYTHONPYCACHEPREFIX``), written once
+# before timing, so a stale or unwritable ``__pycache__`` does not put
+# compilation into the row.
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 COLD_IMPORT = [sys.executable, "-S", "-c",
                f"import sys; sys.path.insert(0, {str(SRC)!r}); import bistrata.cli"]
 
 
-def test_cold_import_cli(benchmark):
+@pytest.fixture(scope="module")
+def compiled_env(tmp_path_factory):
+    """Environment whose bytecode cache holds the package and what it imports."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    env["PYTHONPYCACHEPREFIX"] = str(tmp_path_factory.mktemp("pycache"))
+    subprocess.run([sys.executable, "-m", "compileall", "-q", str(SRC / "bistrata")],
+                   env=env, check=True)
+    subprocess.run(COLD_IMPORT, env=env, check=True)  # caches the standard library it loads
+    return env
+
+
+def test_cold_import_cli(benchmark, compiled_env):
     done = benchmark.pedantic(subprocess.run, args=(COLD_IMPORT,),
-                              kwargs={"capture_output": True, "check": True},
+                              kwargs={"capture_output": True, "check": True,
+                                      "env": compiled_env},
                               rounds=20, warmup_rounds=1)
     assert done.returncode == 0 and done.stderr == b""

@@ -22,7 +22,7 @@ import sys
 from .coeffring import _DECIMAL
 from .collide import NewtonDiagram, SingularitySpec, collide_omp, is_linear, residual_multiplicity
 from .degrees import DegreeResult, stratum_degree
-from .strata import stratum_for
+from .strata import StratumClass, stratum_for
 from .verify import SUITES, run_suite
 
 
@@ -101,6 +101,43 @@ def _print_json(payload, out) -> None:
     print(json.dumps(payload, indent=2), file=out)
 
 
+def _class_json(stratum: StratumClass) -> str:
+    """The ``class --format json`` payload exactly as
+    ``json.dumps(payload, indent=2)`` prints it, for its one fixed schema:
+    the fields of ``CohClass.to_json``, then ``aut``, ``valid_from_d`` and
+    ``route``.
+
+    ``indent`` turns ``json``'s C encoder off, and the pure-Python one costs
+    more than the rest of a warm ``class`` call.  Here each value is an
+    f-string; only the generator names and the route can need escaping, and
+    they go through the encoder's own ``encode_basestring_ascii``.  Every
+    other value is an int or a decimal string.
+    """
+    from json.encoder import encode_basestring_ascii as quote
+    cls = stratum.cls
+    names = [quote(name) for name in cls.ambient.names]
+    variables = [f'{{\n      "name": {name},\n      "trunc": {trunc}\n    }}'
+                 for name, trunc in zip(names, cls.ambient.truncations)]
+    terms = []
+    for exp, coeff in cls._sorted_terms():
+        exps = ",\n        ".join([f"{names[i]}: {e}" for i, e in enumerate(exp) if e])
+        exps = f"{{\n        {exps}\n      }}" if exps else "{}"
+        # a class stores no zero coefficient, so the array is never empty
+        digits = '",\n        "'.join(map(str, coeff.coeffs))
+        terms.append(f'{{\n      "exps": {exps},\n      "coeff": [\n        "{digits}"\n      ]\n    }}')
+    return (f'{{\n  "variables": {_json_array(variables)},\n'
+            f'  "total_degree": {cls.total_degree},\n'
+            f'  "terms": {_json_array(terms)},\n'
+            f'  "aut": {stratum.aut_order},\n'
+            f'  "valid_from_d": {stratum.valid_from_d},\n'
+            f'  "route": {quote(stratum.route)}\n}}')
+
+
+def _json_array(items: list[str]) -> str:
+    """A top-level field's array of printed items, laid out as ``indent=2`` does."""
+    return "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"
+
+
 def _family_label(args) -> str:
     label = args.x
     if args.y:
@@ -144,11 +181,7 @@ def cmd_class(args, out, err) -> int:
     # the bare stratum, without the tangent incidence that degree multiplies in
     stratum = stratum_for(sx, sy)
     if args.format == "json":
-        payload = stratum.cls.to_json()
-        payload["aut"] = stratum.aut_order
-        payload["valid_from_d"] = stratum.valid_from_d
-        payload["route"] = stratum.route
-        _print_json(payload, out)
+        print(_class_json(stratum), file=out)
     else:
         print(f"class ({_family_label(args)}), total degree "
               f"{stratum.cls.total_degree}, aut {stratum.aut_order}:", file=out)

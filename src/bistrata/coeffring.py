@@ -167,10 +167,12 @@ class ParamPoly:
         """
         if not isinstance(data, list):
             raise ValueError(f"coefficient must be a JSON array, got {data!r}")
+        match = _DECIMAL.fullmatch
         for s in data:
-            if not (isinstance(s, str) and _DECIMAL.fullmatch(s)):
+            if not (isinstance(s, str) and match(s)):
                 raise ValueError(f"coefficient entry must be a decimal string, got {s!r}")
-        return cls(int(s) for s in data)
+        # the entries are now decimal strings: int() of each needs no type check
+        return _stripped(list(map(int, data)))
 
     def __str__(self) -> str:
         if not self.coeffs:

@@ -188,6 +188,36 @@ class VarSpec(Value):
         return zip(*[[(key >> s) & field for key in keys] for s in shifts])
 
 
+def _check_total_degree(total_degree) -> None:
+    if not _is_int(total_degree):
+        raise ValueError(f"total_degree must be an integer, got {total_degree!r}")
+    if total_degree < 0:
+        raise ValueError("total_degree must be non-negative")
+
+
+def _json_object(value, what: str) -> Mapping:
+    """value, which must be a JSON object; anything else raises ValueError."""
+    if type(value) is not dict and not isinstance(value, Mapping):
+        raise ValueError(f"{what} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
+def _json_field(obj, key: str, what: str):
+    """obj[key] of a JSON object; anything else raises ValueError."""
+    try:
+        return _json_object(obj, what)[key]
+    except KeyError:
+        raise ValueError(f"{what} has no {key!r} field") from None
+
+
+def _json_array_field(obj, key: str, what: str) -> Sequence:
+    """obj[key], which must be a JSON array; anything else raises ValueError."""
+    value = _json_field(obj, key, what)
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{key!r} of {what} must be a JSON array, got {type(value).__name__}")
+    return value
+
+
 def _coerce_poly(value) -> ParamPoly:
     if isinstance(value, ParamPoly):
         return value
@@ -260,10 +290,7 @@ class CohClass:
         if _packed_keys:
             self._terms = terms
             return
-        if not _is_int(total_degree):
-            raise ValueError(f"total_degree must be an integer, got {total_degree!r}")
-        if total_degree < 0:
-            raise ValueError("total_degree must be non-negative")
+        _check_total_degree(total_degree)
         cleaned: dict[int, ParamPoly] = {}
         for exp, coeff in terms.items():
             coeff = _coerce_poly(coeff)
@@ -551,15 +578,47 @@ class CohClass:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "CohClass":
-        """Inverse of ``to_json``; a monomial named by two terms raises ValueError."""
-        ambient = VarSpec(tuple((v["name"], v["trunc"]) for v in data["variables"]))
-        terms = {}
-        for item in data["terms"]:
-            exp = ambient.exponent(dict(item["exps"]))
-            if exp in terms:
-                raise ValueError(f"two terms name the monomial {exp}")
-            terms[exp] = ParamPoly.from_json(item["coeff"])
-        return cls(ambient, data["total_degree"], terms)
+        """Inverse of ``to_json``; every term is checked once, into its key.
+
+        The checks are the public constructor's, with its messages: an
+        unknown generator, an exponent entry that is not an int (or is a
+        bool), negative or at its truncation, a monomial above total_degree.
+        A monomial named by two terms, a malformed coefficient (see
+        ``ParamPoly.from_json``) and a payload of the wrong shape (not an
+        object, a missing field, "variables" or "terms" not an array,
+        "exps" not an object) raise ValueError too.  Unlike the constructor,
+        a term whose coefficient is zero has its exponent checked as well
+        before it is dropped.
+        """
+        ambient = VarSpec(tuple(
+            (_json_field(v, "name", "a variable"), _json_field(v, "trunc", "a variable"))
+            for v in _json_array_field(data, "variables", "a class")))
+        items = _json_array_field(data, "terms", "a class")
+        total_degree = _json_field(data, "total_degree", "a class")
+        _check_total_degree(total_degree)
+        indices, truncs, shifts = ambient._indices, ambient.truncations, ambient._layout[0]
+        parse = ParamPoly.from_json
+        terms: dict[int, ParamPoly] = {}
+        for item in items:
+            exps = _json_object(_json_field(item, "exps", "a term"), "'exps' of a term")
+            coeff = parse(_json_field(item, "coeff", "a term"))
+            key = level = 0
+            for name, e in exps.items():
+                i = indices.get(name)
+                if i is None or e.__class__ is not int or not 0 <= e < truncs[i]:
+                    # raises as the constructor would; an int subclass in range passes
+                    ambient._checked_key(ambient.exponent(exps))
+                key += e << shifts[i]
+                level += e
+            if key in terms:
+                raise ValueError(f"two terms name the monomial {ambient.exponent(exps)}")
+            if level > total_degree:
+                raise ValueError(
+                    f"monomial {ambient.exponent(exps)} exceeds total_degree {total_degree}; "
+                    "the implicit F exponent would be negative")
+            terms[key] = coeff
+        return cls(ambient, total_degree, {key: c for key, c in terms.items() if c.coeffs},
+                   _packed_keys=True)
 
     def __str__(self) -> str:
         if not self._terms:

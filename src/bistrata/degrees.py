@@ -11,13 +11,15 @@ by the prefactor's denominator once, under an exactness assertion.
 
 ``stratum_degree`` results are memoised for the life of the process in a
 bounded LRU of 1024 entries, keyed on the canonical unordered type pair and
-holding only the small ``DegreeResult``, never a class.  A refused type or
-pair raises on every call and is never stored.  The builders and
-``stratum_for`` are not memoised, so the ``class`` verb rebuilds every
-time.  The ``verify`` identities that check a degree read it through
+holding only the small ``DegreeResult``, never a class.  ``stratum_for``
+keeps its own LRU of 32 whole strata on the same key, for the ``class``
+verb and library callers; a degree miss builds through the unmemoised
+dispatch and does not fill it.  A refused type or pair raises on every call
+and is stored in neither.  The builders themselves are not memoised.  The
+``verify`` identities that check a degree read it through
 ``stratum_degree``, as ``degree`` and ``table`` do; two of them compare a
 memoised degree with a fresh build, and the class identities (the cusp's
-diagram chain, the division round trip) build their classes every time.
+diagram chain, the division round trip) call the builders every time.
 A one-shot CLI process sees no change.
 """
 
@@ -31,7 +33,7 @@ from ._value import Value
 from .coeffring import InterpolationError, ParamPoly, binomial
 from .collide import NewtonDiagram, SingularitySpec
 from .divisors import incidence_class
-from .strata import StratumClass, _dispatch_order, stratum_for
+from .strata import StratumClass, _build_stratum, _dispatch_order
 
 
 class DegreeResult(Value):
@@ -81,8 +83,9 @@ def gysin_degree(s: StratumClass) -> DegreeResult:
 def stratum_degree(sx: SingularitySpec, sy: SingularitySpec | None = None) -> DegreeResult:
     """Enumerative degree of the stratum of one type, or of an unordered pair.
 
-    The stratum comes from ``stratum_for``, with the same supported types
-    and pairs.  A single cusp or diagram stratum comes bare of the
+    The stratum is built by the dispatch of ``stratum_for``, with the same
+    supported types and pairs, but not through its memo.  A single cusp or
+    diagram stratum comes bare of the
     point-on-tangent incidence, which is multiplied in here.  Results are
     memoised per process (see the module docstring); errors are not.
     """
@@ -94,7 +97,7 @@ def stratum_degree(sx: SingularitySpec, sy: SingularitySpec | None = None) -> De
 @lru_cache(maxsize=1024)
 def _memoised_degree(sx: SingularitySpec, sy: SingularitySpec | None) -> DegreeResult:
     """``stratum_degree`` of types already in ``_dispatch_order``."""
-    s = stratum_for(sx, sy)
+    s = _build_stratum(sx, sy)
     if sy is None and sx.kind in ("cusp", "diagram"):
         s = StratumClass(s.cls * incidence_class(s.ambient, "X", "L"),
                          s.aut_order, s.valid_from_d, s.route)

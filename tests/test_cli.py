@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from bistrata import cli, degrees
+from bistrata import cli, degrees, strata
 from bistrata.cli import build_parser, main, parse_range, parse_type_spec, SpecError
 from bistrata.coeffring import binomial
 from bistrata.collide import NewtonDiagram, SingularitySpec, collide_omp, cusp_diagram
@@ -341,10 +341,11 @@ def test_repeated_calls_are_independent(tmp_path, monkeypatch):
     for argv, want in zip(MIXED_CALLS, forward):
         monkeypatch.setattr(cli, "_parser", None)
         assert call(argv) == want
-    # a cold build prints what the calls that read the degree memo printed,
-    # warnings included
+    # a cold build prints what the calls that read the degree and stratum
+    # memos printed, warnings included
     for argv, want in zip(MIXED_CALLS, forward):
         degrees._memoised_degree.cache_clear()
+        strata._memoised_stratum.cache_clear()
         assert call(argv) == want
     codes = [got[0] for got in forward]
     assert codes == [0] * 9 + [2, 2, 0, 0]

@@ -1,8 +1,12 @@
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bistrata.coeffring import ParamPoly, binomial
+from bistrata.cli import _class_json
+from bistrata.coeffring import _DECIMAL, ParamPoly, binomial
 from bistrata.cohring import CohClass, ExactDivisionError, VarSpec, product_of
+from bistrata.strata import StratumClass
 
 XL = VarSpec.projective(("X", "L"))
 XYL = VarSpec.projective(("X", "Y", "L"))
@@ -133,6 +137,50 @@ def test_from_json_requires_integer_fields(field, value):
         data["variables"] = [dict(data["variables"][0], **{field: value}), data["variables"][1]]
     with pytest.raises(ValueError):
         CohClass.from_json(data)
+
+
+@pytest.mark.parametrize("shape, message", [
+    (lambda data: data["terms"][0].update(exps=[["X", 1]]), "'exps' of a term must be"),
+    (lambda data: data.update(terms={"a": 1}), "'terms' of a class must be"),
+    (lambda data: data["variables"][0].pop("trunc"), "a variable has no 'trunc' field"),
+    (lambda data: data["terms"][0].pop("coeff"), "a term has no 'coeff' field"),
+    (lambda data: data.pop("total_degree"), "a class has no 'total_degree' field"),
+    (lambda data: data["terms"].append(["X", 1]), "a term must be a JSON object"),
+    (lambda data: data.update(variables="XL"), "'variables' of a class must be"),
+], ids=("exps as pairs", "terms as an object", "no trunc", "no coeff", "no total_degree",
+        "term as an array", "variables as a string"))
+def test_from_json_refuses_malformed_shapes(shape, message):
+    # before the one-pass reader the first was read as {"X": 1} and the others
+    # raised TypeError or KeyError
+    data = divisor(XL, 1, X=2).to_json()
+    shape(data)
+    with pytest.raises(ValueError, match=message):
+        CohClass.from_json(data)
+    with pytest.raises(ValueError, match="a class must be a JSON object"):
+        CohClass.from_json([data])
+
+
+def test_from_json_checks_the_exponent_of_a_zero_term():
+    # the term is dropped, but an exponent no class can hold is still refused
+    data = divisor(XL, 1, X=2).to_json()
+    for exps in ({"X": 3}, {"X": True}, {"X": 2}):
+        data["terms"] = [{"exps": exps, "coeff": ["0"]}]
+        with pytest.raises(ValueError):
+            CohClass.from_json(data)
+    data["terms"] = [{"exps": {"X": 1}, "coeff": []}, {"exps": {"L": 1}, "coeff": ["0", "-0"]}]
+    assert CohClass.from_json(data) == CohClass.zero(XL, 1)
+
+
+def test_from_json_accepts_int_subclasses():
+    # an int subclass is an int to the checks (only bool is refused), as in
+    # the public constructor
+    class Count(int):
+        pass
+
+    data = divisor(XL, 1, X=2).to_json()
+    data["total_degree"] = Count(2)
+    data["terms"] = [{"exps": {"X": Count(1), "L": 1}, "coeff": ["3"]}]
+    assert CohClass.from_json(data) == CohClass(XL, 2, {(1, 1): 3})
 
 
 def test_coefficient_rejects_exponents_no_class_holds():
@@ -556,3 +604,182 @@ def test_divide_exact_checks_by_multiplying_back(monkeypatch):
     assert len(calls) == 1 and calls[0][0] is quotient and calls[0][1] is b
     monkeypatch.undo()
     assert quotient == product_of(factors)
+
+
+# -- the class JSON writer and the one-pass reader against their references ------
+
+def reference_poly(data):
+    """``ParamPoly.from_json`` as it was before the one-pass class reader."""
+    if not isinstance(data, list):
+        raise ValueError(f"coefficient must be a JSON array, got {data!r}")
+    for s in data:
+        if not (isinstance(s, str) and _DECIMAL.fullmatch(s)):
+            raise ValueError(f"coefficient entry must be a decimal string, got {s!r}")
+    return ParamPoly(int(s) for s in data)
+
+
+def reference_from_json(data):
+    """``CohClass.from_json`` as it was before the one-pass reader: an
+    exponent tuple per term, then the public constructor checks each again."""
+    ambient = VarSpec(tuple((v["name"], v["trunc"]) for v in data["variables"]))
+    terms = {}
+    for item in data["terms"]:
+        exp = ambient.exponent(dict(item["exps"]))
+        if exp in terms:
+            raise ValueError(f"two terms name the monomial {exp}")
+        terms[exp] = reference_poly(item["coeff"])
+    return CohClass(ambient, data["total_degree"], terms)
+
+
+def _outcome(read, payload):
+    try:
+        return read(payload)
+    except ValueError as exc:
+        return exc
+
+
+def _corrupt(data, payload):
+    """Change one drawn field of a ``to_json`` payload; most changes make it invalid."""
+    variables, terms = payload["variables"], payload["terms"]
+    kind = data.draw(st.sampled_from(("total_degree", "trunc", "name", "exponent", "unknown",
+                                      "drop entry", "coefficient", "duplicate", "drop term",
+                                      "reorder")))
+    if kind == "total_degree":
+        total = payload["total_degree"]
+        shifted = (total - 1, total + 2) if type(total) is int else ()  # not yet corrupted
+        payload["total_degree"] = data.draw(st.sampled_from((-1, True, 2.5, "3", None) + shifted))
+        return
+    if kind in ("trunc", "name"):
+        var = data.draw(st.sampled_from(variables))
+        var[kind] = data.draw(st.sampled_from(
+            (0, -1, True, 3.0, 1, 2, 9) if kind == "trunc"
+            else (7, None, "Q", *[v["name"] for v in variables])))
+        return
+    if not terms:
+        return
+    term = data.draw(st.sampled_from(terms))
+    if kind == "exponent":
+        name = data.draw(st.sampled_from([v["name"] for v in variables]))
+        term["exps"][name] = data.draw(st.sampled_from((True, False, 1.0, "1", -1, 0, 1, 2, 8, 9)))
+    elif kind == "unknown":
+        term["exps"]["Q"] = 1
+    elif kind == "drop entry" and term["exps"]:
+        term["exps"].pop(data.draw(st.sampled_from(list(term["exps"]))))
+    elif kind == "coefficient":
+        term["coeff"] = data.draw(st.sampled_from(
+            ([], ["0"], ["0", "-0"], ["1.5"], [1], "12", ["+3", "-0", "007"], [" 7"], [True])))
+    elif kind == "duplicate":
+        terms.append({"exps": dict(term["exps"]), "coeff": ["5"]})
+    elif kind == "drop term":
+        terms.remove(term)
+    elif kind == "reorder":
+        terms.reverse()
+
+
+def _holds_a_zero_term_no_class_holds(payload) -> bool:
+    """Whether a zero-coefficient term has an exponent the constructor refuses.
+
+    The reference drops such a term unchecked; the one-pass reader refuses it.
+    """
+    ambient = VarSpec(tuple((v["name"], v["trunc"]) for v in payload["variables"]))
+    for item in payload["terms"]:
+        if reference_poly(item["coeff"]).is_zero():
+            try:
+                CohClass(ambient, payload["total_degree"], {ambient.exponent(item["exps"]): 1})
+            except ValueError:
+                return True
+    return False
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_from_json_agrees_with_the_reference_reader(data):
+    ambient = data.draw(kernel_ambients())
+    a = data.draw(kernel_classes(ambient))
+    payload = data.draw(st.sampled_from((a, a * data.draw(kernel_classes(ambient))))).to_json()
+    for _ in range(data.draw(st.integers(0, 2))):
+        _corrupt(data, payload)
+    want = _outcome(reference_from_json, payload)
+    got = _outcome(CohClass.from_json, payload)
+    if isinstance(want, CohClass):
+        if isinstance(got, ValueError):
+            assert _holds_a_zero_term_no_class_holds(payload)
+        else:
+            assert got == want and hash(got) == hash(want)
+    else:
+        assert isinstance(got, ValueError)
+
+
+@pytest.mark.parametrize("fault", [
+    lambda d: d["terms"][0]["exps"].update(Q=1),
+    lambda d: d["terms"][0]["exps"].update(X=True),
+    lambda d: d["terms"][0]["exps"].update(X=1.0),
+    lambda d: d["terms"][0]["exps"].update(X=-1),
+    lambda d: d["terms"][0]["exps"].update(X=3),
+    lambda d: d["terms"][1]["exps"].update(L=2),  # X*L^2 above total degree 2
+    lambda d: d["terms"].append({"exps": {"L": 0, "X": 1}, "coeff": ["1"]}),
+    lambda d: d["terms"][0].update(coeff=["2.9"]),
+    lambda d: d["terms"][0].update(coeff="12"),
+    lambda d: d.update(total_degree=True),
+    lambda d: d.update(total_degree=-2),
+    lambda d: d["variables"][0].update(trunc=0),
+    lambda d: d["variables"][0].update(name=7),
+    lambda d: d["variables"][0].update(name="L"),
+], ids=("unknown generator", "bool exponent", "float exponent", "negative exponent",
+        "exponent at truncation", "above total degree", "monomial named twice",
+        "non-decimal coefficient", "coefficient not an array", "bool total degree",
+        "negative total degree", "truncation 0", "name not a string", "names not unique"))
+def test_from_json_keeps_every_single_fault_message(fault):
+    # (2 - 3d) F X + L^2 + X L over {X, L}, total degree 2
+    data = CohClass(XL, 2, {(1, 0): ParamPoly((2, -3)), (0, 2): 1, (1, 1): 1}).to_json()
+    fault(data)
+    want = _outcome(reference_from_json, data)
+    assert isinstance(want, ValueError)
+    with pytest.raises(ValueError) as got:
+        CohClass.from_json(data)
+    assert str(got.value) == str(want)
+
+
+# generator names json escapes: a quote, a backslash, non-ASCII text, a control character
+ESCAPED_NAMES = ('a"b', "back\\slash", "n\u00e4me", "\u2603", "bell\x07", "tab\t")
+json_names = st.one_of(st.sampled_from(ESCAPED_NAMES), st.text(max_size=3))
+
+
+@st.composite
+def json_ambients(draw):
+    """``kernel_ambients`` under names JSON must escape, or no generator at all."""
+    truncs = draw(st.one_of(kernel_ambients(), st.just(VarSpec(())))).truncations
+    names = draw(st.lists(json_names, min_size=len(truncs), max_size=len(truncs), unique=True))
+    return VarSpec(tuple(zip(names, truncs)))
+
+
+def _class_payload(stratum):
+    payload = stratum.cls.to_json()
+    payload.update(aut=stratum.aut_order, valid_from_d=stratum.valid_from_d,
+                   route=stratum.route)
+    return payload
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_class_json_writer_equals_json_dumps(data):
+    ambient = data.draw(st.one_of(kernel_ambients(), json_ambients()))
+    a = data.draw(kernel_classes(ambient))
+    cls = data.draw(st.sampled_from((a, a * data.draw(kernel_classes(ambient)),
+                                     CohClass.zero(ambient, data.draw(st.integers(0, 3))))))
+    stratum = StratumClass(cls, data.draw(st.integers(1, 10 ** 6)), data.draw(st.integers(0, 99)),
+                           data.draw(st.one_of(st.text(), st.just("d\u00e9g\u00e9n\u00e9r\u00e9"))))
+    assert _class_json(stratum) == json.dumps(_class_payload(stratum), indent=2)
+
+
+@pytest.mark.parametrize("stratum", [
+    StratumClass(CohClass.zero(XL, 2), 1, 3, "diagram product"),  # "terms": []
+    StratumClass(CohClass.divisor(VarSpec(()), ParamPoly((-2, 1))) ** 2, 2, 0, "F only"),
+    StratumClass(CohClass.zero(VarSpec(())), 1, 0, ""),  # "variables": [] and "terms": []
+    StratumClass(CohClass.divisor(VarSpec((('q"\\\u00e9\x01', 3),)), 1, {'q"\\\u00e9\x01': 2}),
+                 1, 1, "r\u00f6ute \u2603"),
+], ids=("zero class", "no generators", "nothing", "escaped names and route"))
+def test_class_json_writer_edge_cases(stratum):
+    text = _class_json(stratum)
+    assert text == json.dumps(_class_payload(stratum), indent=2)
+    assert CohClass.from_json(json.loads(text)) == stratum.cls

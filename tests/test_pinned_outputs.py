@@ -3,8 +3,10 @@
 The digests were recorded with the term-by-term product kernel, before the
 row-convolution kernel and then the Kronecker-substituted one (packed
 coefficients, one integer multiply per term pair) replaced it, and before
-the division solved its levels on packed integers; any change to a
-coefficient, an exponent, the term order or the JSON layout changes them.
+the division solved its levels on packed integers.  The kbranch 1^8 digest
+was recorded later, while ``json.dumps`` still printed the class, before
+the class JSON got a writer of its own.  Any change to a coefficient, an
+exponent, the term order or the JSON layout changes them.
 """
 
 import hashlib
@@ -21,6 +23,8 @@ PINNED = {
         "e6ccb25c2a30c409196ccfbf2d5a18f5b3f1a5c02e5f0291294820738a7e79b2",
     ("--x", "kbranch:2,2,1,1"):
         "a28c2315afee66bf1d43367b00cc7e057855604d8787852313e576405d698886",
+    ("--x", "kbranch:1,1,1,1,1,1,1,1"):
+        "0fadb54420b3fca853e1ea8379a17925e10cf692ab8073a01711262fea6c974b",
     ("--x", "kbranch:1,1,1,1,1", "--y", "omp:2"):
         "4a8f0caf12a4e8771fdc05491d1922588c5200bce4d7d16403180bae63ddde97",
     ("--x", "kbranch:2,2,1", "--y", "omp:2"):

@@ -2,10 +2,18 @@ import math
 
 import pytest
 
+from bistrata import strata
+from bistrata.cli import parse_type_spec
 from bistrata.coeffring import ParamPoly, binomial
 from bistrata.cohring import CohClass, VarSpec
 from bistrata.collide import NewtonDiagram, SingularitySpec, collide_omp, cusp_diagram
-from bistrata.degrees import gysin_degree, reference_kbranch, reference_two_omp
+from bistrata.degrees import (
+    _memoised_degree,
+    gysin_degree,
+    reference_kbranch,
+    reference_two_omp,
+    stratum_degree,
+)
 from bistrata.divisors import incidence_class
 from bistrata.strata import (
     _diagram_product,
@@ -216,3 +224,74 @@ def test_stratum_for_pairs_are_unordered():
     assert stratum_for(SingularitySpec.omp(3), node) == two_omp_stratum(2, 1)
     with pytest.raises(ValueError, match="unsupported pair"):
         stratum_for(cusp, cusp)
+
+
+# -- the process-wide stratum memo ------------------------------------------------
+
+memo = strata._memoised_stratum
+
+
+def test_stratum_memo_keys_on_the_unordered_pair():
+    memo.cache_clear()
+    a = stratum_for(SingularitySpec.omp(5), SingularitySpec.omp(3))
+    b = stratum_for(SingularitySpec.omp(3), SingularitySpec.omp(5))
+    info = memo.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (1, 1, 1)
+    assert a is b and a == two_omp_stratum(4, 2)
+
+
+@pytest.mark.parametrize("partner", [None, "omp:2"])
+@pytest.mark.parametrize("spelling", ["kbranch:3", "diagram:0,4,3,0", "diagram:0,3,4,0"])
+def test_stratum_memo_shares_the_cusp_spellings(spelling, partner):
+    sy = parse_type_spec(partner) if partner else None
+    memo.cache_clear()
+    a = stratum_for(SingularitySpec.cusp(3), sy)
+    assert stratum_for(parse_type_spec(spelling), sy) is a
+    info = memo.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (1, 1, 1)
+
+
+@pytest.mark.parametrize("pair", [
+    ("cusp:3", "omp:3"),  # an unsupported pair
+    ("diagram:0,3,1,1,3,0", None),  # tangents on both axes, refused by canonical()
+    ("diagram:0,2,1,0", None),  # a smooth point, refused by diagram_stratum
+])
+def test_stratum_memo_stores_no_error(pair):
+    memo.cache_clear()
+    specs = [parse_type_spec(s) for s in pair if s is not None]
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            stratum_for(*specs)
+    assert memo.cache_info().currsize == 0
+
+
+def test_stratum_memo_equals_a_cold_build_over_the_class_specs(perfbench):
+    perfbench("checks")
+    specs = perfbench("workloads").CLASS_SPECS
+    memo.cache_clear()
+    for x, y in specs:
+        sx = parse_type_spec(x)
+        sy = parse_type_spec(y) if y is not None else None
+        warm = stratum_for(sx, sy)  # fills the entry
+        cold = memo.__wrapped__(*strata._dispatch_order(sx, sy))
+        assert cold is not warm and cold == warm
+        assert stratum_for(sx, sy) is warm
+        if sy is not None:
+            assert stratum_for(sy, sx) is warm
+    info = memo.cache_info()
+    assert info.currsize == info.misses == len(specs)
+
+
+def test_a_degree_miss_leaves_the_stratum_memo_empty():
+    memo.cache_clear()
+    _memoised_degree.cache_clear()
+    for pair in ((SingularitySpec.cusp(3), None), (SingularitySpec.kbranch(2, 1), None),
+                 (SingularitySpec.omp(4), SingularitySpec.omp(2)),
+                 (SingularitySpec.kbranch(1, 1), SingularitySpec.omp(2))):
+        stratum_degree(*pair)
+    assert _memoised_degree.cache_info().misses == 4
+    assert memo.cache_info().currsize == 0
+
+
+def test_stratum_memo_is_bounded():
+    assert memo.cache_parameters()["maxsize"] == 32
