@@ -30,7 +30,7 @@ from bistrata.cli import _class_json, main
 from bistrata.coeffring import ParamPoly
 from bistrata.cohring import CohClass, VarSpec, product_of
 from bistrata.collide import SingularitySpec
-from bistrata.degrees import _memoised_degree, gysin_degree, stratum_degree
+from bistrata.degrees import _memoised_degree, gysin_degree, reference_kbranch, stratum_degree
 from bistrata.divisors import incidence_class, kill_tangent_cone_class, omp_conditions_class
 from bistrata.strata import (StratumClass, _memoised_stratum, _two_omp_factors,
                              _two_omp_product, cone_line_names, kbranch_stratum,
@@ -44,7 +44,9 @@ XYL = VarSpec.projective(("X", "Y", "L"))
 @pytest.fixture(scope="module")
 def node_pair_parts():
     """Dividend and kill divisor of the node-pair recursion for kbranch 1^5,
-    and the quotient whose check product is the largest of strata-heavy."""
+    and their quotient, which a ``class`` call divides out.  A degree reads
+    the quotient's top coefficient from the dividend by the series instead
+    (``test_gysin_series_node_pair``), so strata-heavy no longer divides."""
     rhs, kill, _, _ = node_pair_recursion_parts(SingularitySpec.kbranch(1, 1, 1, 1, 1))
     return rhs, kill, rhs.divide_exact(kill)
 
@@ -151,6 +153,26 @@ def test_class_json_writer(benchmark, node_pair_parts):
 def test_gysin_degree(benchmark):
     s = kbranch_stratum(1, 1, 1, 1, 1)
     assert benchmark(gysin_degree, s).degree == s.cls.coefficient(s.ambient.top_exponent())
+
+
+# Gysin extraction by the series: the degree of a cone-kill stratum read from
+# its dividend, without the quotient that ``class`` divides out.
+
+def test_gysin_series_node_pair(benchmark, node_pair_parts):
+    # a 411-term dividend in place of the 2,112-term quotient
+    rhs, kill, quotient = node_pair_parts
+    s = StratumClass.by_division(rhs, kill, 120, 4, "degeneration recursion via ordinary point")
+    assert len(rhs.terms) == 411
+    got = benchmark(gysin_degree, s)
+    assert got.degree == quotient.coefficient(s.ambient.top_exponent())
+
+
+def test_gysin_series_kbranch_1_9(benchmark):
+    # a 57-term dividend in place of the 10,752-term quotient
+    s = kbranch_stratum(*[1] * 9)
+    assert len(s.dividend.terms) == 57
+    got = benchmark(gysin_degree, s)
+    assert got.degree == s.aut_order * reference_kbranch([1] * 9)
 
 
 # One table cell, omp:15 beside omp:8, through the degree entry point: a

@@ -64,6 +64,8 @@ class ParamPoly:
         return bool(self.coeffs)
 
     def __eq__(self, other: object) -> bool:
+        if other.__class__ is ParamPoly:
+            return self.coeffs == other.coeffs
         if isinstance(other, int):
             other = ParamPoly.const(other)
         if not isinstance(other, ParamPoly):
@@ -84,7 +86,8 @@ class ParamPoly:
         raise TypeError(f"cannot combine ParamPoly with {value!r}")
 
     def __add__(self, other) -> "ParamPoly":
-        other = self._coerce(other)
+        if other.__class__ is not ParamPoly:
+            other = self._coerce(other)
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
@@ -105,17 +108,21 @@ class ParamPoly:
         return self._coerce(other) + (-self)
 
     def __mul__(self, other) -> "ParamPoly":
-        other = self._coerce(other)
+        if other.__class__ is not ParamPoly:
+            other = self._coerce(other)
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return ParamPoly()
+        if len(a) < len(b):
+            a, b = b, a
         out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca == 0:
-                continue
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-        return _stripped(out)
+        # one row per entry of the shorter factor; Z has no zero divisors, so
+        # the top entry a[-1] * b[-1] is nonzero and nothing needs stripping
+        for i, cb in enumerate(b):
+            if cb:
+                for j, ca in enumerate(a, i):
+                    out[j] += ca * cb
+        return ParamPoly._trusted(out)
 
     __rmul__ = __mul__
 

@@ -48,12 +48,19 @@ multiplies and subtractions only, and the quotient is read back once at
 the end.  Packing (``_packed``) and reading back (``_unpacked``) have one
 implementation each, shared by the product and the division.  The quotient
 is checked by multiplying it back through the product kernel.
+
+A degree needs one coefficient of a quotient, the top monomial's.
+``CohClass.quotient_top`` reads it from the dividend without dividing:
+where the quotient's top level keeps a power of F, the quotient is the
+finite series sum_j (-N)^j * dividend / F^(j+1), and its top coefficient
+is one packed sum over the dividend's terms.
 """
 
 from __future__ import annotations
 
 from collections.abc import Collection, Iterable, Mapping, Sequence
 from itertools import chain
+from math import factorial, prod
 from operator import lshift
 
 from ._value import Value
@@ -518,15 +525,7 @@ class CohClass:
         defining equation was inconsistent, or a field overflowed) raises
         ExactDivisionError instead of returning a wrong quotient.
         """
-        self._require_same_ambient(b)
-        if b.total_degree != 1:
-            raise ValueError("divisor must have total_degree 1")
-        if b._terms.get(0, ParamPoly()) != ParamPoly.const(1):  # key 0: the monomial F
-            raise ValueError("divisor must have F coefficient 1")
-        if self.is_zero():
-            raise ValueError("cannot divide the zero class")
-        if self.total_degree < 1:
-            raise ExactDivisionError("dividend has total_degree 0")
+        self._check_division(b)
         ambient = self.ambient
         shifts, field, bias, guard = ambient._layout
         t_quot = self.total_degree - 1
@@ -565,6 +564,88 @@ class CohClass:
         if quotient * b != self:
             raise ExactDivisionError("division left a nonzero remainder")
         return quotient
+
+    def _check_division(self, b: "CohClass") -> None:
+        """The argument checks of ``divide_exact`` and ``quotient_top``."""
+        self._require_same_ambient(b)
+        if b.total_degree != 1:
+            raise ValueError("divisor must have total_degree 1")
+        if b._terms.get(0, ParamPoly()) != ParamPoly.const(1):  # key 0: the monomial F
+            raise ValueError("divisor must have F coefficient 1")
+        if self.is_zero():
+            raise ValueError("cannot divide the zero class")
+        if self.total_degree < 1:
+            raise ExactDivisionError("dividend has total_degree 0")
+
+    def quotient_top(self, b: "CohClass") -> ParamPoly:
+        """Top-monomial coefficient of ``self.divide_exact(b)``, without the quotient.
+
+        b = F + N is checked as ``divide_exact`` checks it.  Let top be the
+        exponent truncation-1 on every generator and H = |top| its visible
+        level.  When total_degree - 1 >= H, every visible level of the
+        quotient keeps a non-negative power of F, so F + N is a unit on the
+        quotient's degree and the quotient is the finite series
+
+            self / (F + N) = sum_j (-N)^j * self / F^(j+1),
+
+        which ends at j = H because N is nilpotent of visible degree 1.
+        A term e of self reaches the top monomial through j = H - |e| factors
+        of N, with the exponent m = top - e; the g^m coefficient of N^j is
+        the multinomial j!/prod(m_g!) * prod(n_g^m_g), for n_g the
+        coefficient of the generator g in N.  So
+
+            top = sum_e self[e] * (-1)^j * j!/prod(m_g!) * prod(n_g^m_g).
+
+        Below that range the series is not the quotient, and this raises
+        ExactDivisionError instead of returning a number.
+
+        The sum runs on Kronecker-packed integers, as ``divide_exact`` does:
+        self and every n_g are packed at d = 2^w, a ring map, so the packed
+        sum is exact for every w.  To stay in integers, the generator g
+        contributes n_g^m_g * (t_g - 1)!/m_g!, and the whole sum, which is
+        then D = prod((t_g - 1)!) times the packed top, is divided by D
+        exactly once.  The read-back needs |c| < 2^(w-1) for the top's
+        coefficients c.  With r the L1 norm of N, the L1 norm of the g^m
+        coefficient of N^j is at most r^j (the multinomial sum of the norms
+        is (sum |n_g|)^j), so every |c| is at most the sum over e of
+        |self[e]| * r^(H - |e|), with |self[e]| the L1 norm of the term's
+        coefficient; w is one bit wider than that bound.
+        """
+        self._check_division(b)
+        ambient = self.ambient
+        top = ambient.top_exponent()
+        height = sum(top)
+        if self.total_degree - 1 < height:
+            raise ExactDivisionError(
+                f"the top monomial needs total_degree - 1 >= {height} for the series "
+                f"to be the quotient; the dividend has total_degree {self.total_degree}")
+        shifts, field, _, _ = ambient._layout
+        terms = [(key, c.coeffs) for key, c in self._terms.items()]
+        levels = [sum([(key >> s) & field for s in shifts]) for key, _ in terms]
+        norms = [0] * (height + 1)
+        for level, (_, cs) in zip(levels, terms):
+            norms[level] += sum(map(abs, cs))
+        r = sum(sum(map(abs, c.coeffs)) for key, c in b._terms.items() if key)
+        bound = 0
+        for norm in norms:  # Horner in r: sum over L of norms[L] * r^(H - L)
+            bound = bound * r + norm
+        w = bound.bit_length() + 1
+        n = dict(_packed(((key, c.coeffs) for key, c in b._terms.items() if key), 0, w))
+        # per generator: its shift and n_g^k * (t_g - 1)!/k! for k < t_g
+        weights = [(s, [n.get(1 << s, 0) ** k * (factorial(t - 1) // factorial(k))
+                        for k in range(t)])
+                   for s, t in zip(shifts, ambient.truncations)]
+        top_key = sum(e << s for e, s in zip(top, shifts))
+        by_level = [0] * (height + 1)
+        for (key, a), level in zip(_packed(terms, 0, w), levels):
+            m = top_key - key  # no field borrows: each exponent is below its truncation
+            for s, powers in weights:
+                a *= powers[(m >> s) & field]
+            by_level[level] += a
+        total = sum(v * factorial(height - level) * (-1) ** (height - level)
+                    for level, v in enumerate(by_level))
+        scale = prod(factorial(t - 1) for t in ambient.truncations)
+        return _unpacked([(0, total // scale)], 0, w).get(0, ParamPoly())
 
     # -- serialization and display ---------------------------------------------
 

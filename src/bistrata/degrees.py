@@ -3,7 +3,9 @@ reference-formula catalog.
 
 The degree of a stratum is the coefficient of the top monomial in the
 auxiliary generators (exponent truncation-1 on each), divided by the order
-of the symmetry that permutes identical singularity data.  The catalog
+of the symmetry that permutes identical singularity data.  A cone-kill
+stratum gives that coefficient from its dividend, by the kill divisor's
+finite series, so a degree never divides a class.  The catalog
 transcribes published closed forms literally in exact integer arithmetic.
 Several of them carry fractional prefactors that must clear on integer
 inputs: each such coefficient is computed as one integer product and divided
@@ -75,8 +77,16 @@ class DegreeResult(Value):
 
 
 def gysin_degree(s: StratumClass) -> DegreeResult:
-    """Top-monomial coefficient of a lifted stratum, with its symmetry divisor."""
-    raw = s.cls.coefficient(s.ambient.top_exponent())
+    """Top-monomial coefficient of a lifted stratum, with its symmetry divisor.
+
+    A cone-kill stratum gives it from its dividend, by the kill divisor's
+    finite series (``CohClass.quotient_top``), so its class is not divided
+    here; any other stratum gives its class's top coefficient.
+    """
+    if s.kill is not None:
+        raw = s.dividend.quotient_top(s.kill)
+    else:
+        raw = s.cls.coefficient(s.ambient.top_exponent())
     return DegreeResult(raw, s.aut_order, s.valid_from_d, s.route)
 
 

@@ -19,6 +19,13 @@ Three construction routes appear:
   node first subtracts the residual classes supported over the
   merged-points locus.  The division is exact because the killing divisor
   is F + (nilpotent part).
+
+A cone-kill stratum is returned undivided (``StratumClass.by_division``):
+it records the dividend and the kill divisor, and divides the first time
+its class is read.  Its degree needs one coefficient of the quotient, which
+``CohClass.quotient_top`` reads from the dividend by the kill divisor's
+finite series; every kbranch and node-pair dividend lies in the range where
+that series is the quotient.
 """
 
 from __future__ import annotations
@@ -41,16 +48,39 @@ from .divisors import (
 
 
 class StratumClass(Value):
-    """A lifted stratum class with its extraction metadata."""
+    """A lifted stratum class with its extraction metadata.
 
-    __slots__ = _fields = ("cls", "aut_order", "valid_from_d", "route")
+    A cone-kill stratum (``by_division``) records its dividend and kill
+    divisor instead of its class.  The class is their exact quotient: the
+    first read of ``cls`` runs ``divide_exact``, multiply-back check
+    included, and keeps the result.  ``gysin_degree`` reads the degree of
+    such a stratum from the dividend and never needs the quotient.
+    Equality, hashing, repr and pickling are those of the class, so they
+    read it.  Any other stratum holds its class from the start, with
+    ``dividend`` and ``kill`` None.
+    """
+
+    _fields = ("cls", "aut_order", "valid_from_d", "route")
+    __slots__ = ("_cls", "dividend", "kill", "ambient", "aut_order", "valid_from_d", "route")
 
     def __init__(self, cls: CohClass, aut_order: int, valid_from_d: int, route: str):
-        self._assign(cls=cls, aut_order=aut_order, valid_from_d=valid_from_d, route=route)
+        self._assign(_cls=cls, dividend=None, kill=None, ambient=cls.ambient,
+                     aut_order=aut_order, valid_from_d=valid_from_d, route=route)
+
+    @classmethod
+    def by_division(cls, dividend: CohClass, kill: CohClass, aut_order: int,
+                    valid_from_d: int, route: str) -> "StratumClass":
+        """The stratum whose class is dividend / kill, divided when first read."""
+        stratum = object.__new__(cls)
+        stratum._assign(_cls=None, dividend=dividend, kill=kill, ambient=dividend.ambient,
+                        aut_order=aut_order, valid_from_d=valid_from_d, route=route)
+        return stratum
 
     @property
-    def ambient(self) -> VarSpec:
-        return self.cls.ambient
+    def cls(self) -> CohClass:
+        if self._cls is None:
+            self._assign(_cls=self.dividend.divide_exact(self.kill))
+        return self._cls
 
 
 def cone_line_names(k: int) -> tuple[str, ...]:
@@ -91,6 +121,13 @@ def kbranch_stratum(*mults: int) -> StratumClass:
     finds that quotient and checks it by multiplying back.  Identical branch
     multiplicities are permuted by the deck symmetry, recorded in aut_order.
 
+    The stratum is returned undivided: the dividend is the conditions times
+    the incidences, of total degree M + k, and the quotient's top monomial
+    has visible level 2 + 2k.  M >= k + 3 holds for every type (p >= k
+    and p >= 2), so the degree comes from the dividend by the kill
+    divisor's series (``CohClass.quotient_top``), and only a read of
+    ``cls`` divides.
+
     A single branch is the cusp: ``stratum_for`` builds it by its diagram
     product, and ``verify`` compares that with this division.
     """
@@ -100,10 +137,10 @@ def kbranch_stratum(*mults: int) -> StratumClass:
     ambient = VarSpec.projective(("X",) + names)
     conditions = product_of([omp_conditions_class(ambient, p)]
                             + [incidence_class(ambient, "X", name) for name in names])
-    cls = conditions.divide_exact(kill_tangent_cone_class(ambient, p, list(zip(names, mults))))
-    return StratumClass(cls, aut_order=_branch_symmetry(mults),
-                        valid_from_d=spec.determinacy_order,
-                        route="marked-branch product")
+    kill = kill_tangent_cone_class(ambient, p, list(zip(names, mults)))
+    return StratumClass.by_division(conditions, kill, aut_order=_branch_symmetry(mults),
+                                    valid_from_d=spec.determinacy_order,
+                                    route="marked-branch product")
 
 
 def _diagram_product(nd: NewtonDiagram, ambient: VarSpec,
@@ -226,11 +263,13 @@ def _memoised_stratum(sx: SingularitySpec, sy: SingularitySpec | None) -> Stratu
     """``stratum_for`` of types already in ``_dispatch_order``.
 
     The bound of 32 entries is fixed from the traffic: a warm query stream
-    asks for about 16 distinct classes, 0.12 MiB together.  An entry holds
-    a whole class: a few KiB for an ordinary point or a cusp, 0.8 MiB for
-    kbranch 1^8 and 1.9 MiB for kbranch 1^9.  32 entries of that last size
-    hold about 61 MiB, and each further branch multiplies an entry by about
-    2.3.
+    asks for about 16 distinct classes, 0.16 MiB together.  An entry holds
+    a whole class, and a cone-kill entry (kbranch, node pairs) its dividend
+    as well, plus the quotient once the class is read: a few KiB for an
+    ordinary point or a cusp; for kbranch 1^8 a 12 KiB dividend and a
+    0.9 MiB quotient, for kbranch 1^9 13 KiB and 1.8 MiB.  32 read entries
+    of that last size hold about 57 MiB, and each further branch multiplies
+    a quotient by about 2.3.
     """
     return _build_stratum(sx, sy)
 
@@ -324,12 +363,20 @@ def node_pair_recursion_parts(sx: SingularitySpec):
 
 
 def node_pair_stratum(sx: SingularitySpec) -> StratumClass:
-    """Lifted stratum of sx at one point and a node at another, by recursion."""
+    """Lifted stratum of sx at one point and a node at another, by recursion.
+
+    The stratum is the recursion's right-hand side divided by the kill
+    divisor, returned undivided (``StratumClass.by_division``).  For k cone
+    lines the right-hand side has total degree M + 5 + k, M = binomial(p+2,
+    2), and the quotient's top monomial has visible level 6 + 2k; M >= k + 2
+    always holds, so the degree is read from the right-hand side by the
+    kill divisor's series (``CohClass.quotient_top``), and only a read of
+    ``cls`` divides.
+    """
     rhs, kill, ambient, names = node_pair_recursion_parts(sx)
-    cls = rhs.divide_exact(kill)
     aut = _branch_symmetry(sx.mults)
     if sx.mults == (1, 1):
         aut *= 2  # both points are then plain nodes, unordered
     valid = sx.determinacy_order + 2
-    return StratumClass(cls, aut_order=aut, valid_from_d=valid,
-                        route="degeneration recursion via ordinary point")
+    return StratumClass.by_division(rhs, kill, aut_order=aut, valid_from_d=valid,
+                                    route="degeneration recursion via ordinary point")

@@ -10,6 +10,12 @@ memo as well as the builder.  Two identities compare a memoised degree
 with a fresh build (``two_omp_stratum(6, 3)`` and ``node_pair_stratum``
 of ``cusp:4``), so every call still runs the builders and the ring kernel,
 and a bad memo entry cannot hide behind itself.
+
+A cone-kill degree is read from the dividend by the kill divisor's finite
+series, without dividing (``gysin_degree``).  Three identities compare
+that series with the top coefficient of the divided class, on fresh
+builds of ``cusp:4`` beside a node, kbranch (2,1) and kbranch 1^3, so
+every call also runs ``divide_exact`` and its multiply-back check.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ import math
 import random
 from collections.abc import Callable
 
-from .coeffring import ParamPoly
+from .coeffring import ParamPoly, _stripped
 from .cohring import CohClass, VarSpec
 from .collide import SingularitySpec, cusp_diagram
 from .degrees import (
@@ -33,6 +39,7 @@ from .degrees import (
 )
 from .divisors import diagonal_class, exceptional_class, incidence_class
 from .strata import (
+    StratumClass,
     _diagram_product,
     kbranch_stratum,
     node_pair_recursion_parts,
@@ -65,7 +72,7 @@ def _random_poly(rng: random.Random) -> ParamPoly:
         while c >= 19:
             c = bits(5)
         coeffs.append(c - 9)
-    return ParamPoly(coeffs)
+    return _stripped(coeffs)
 
 
 def ring_checks(triples: int = 1000, seed: int = 20260809) -> list[Check]:
@@ -97,6 +104,15 @@ def _two_omp_degree(p: int, q: int) -> ParamPoly:
     return stratum_degree(SingularitySpec.omp(p + 1), SingularitySpec.omp(q + 1)).degree
 
 
+def _series_check(what: str, stratum: StratumClass) -> Check:
+    # the degree by the kill series, against the class that the first read of
+    # ``cls`` divides out, multiply-back check included
+    series = gysin_degree(stratum).degree
+    divided = stratum.cls.coefficient(stratum.ambient.top_exponent())
+    return _check(f"{what}: the kill divisor's series equals the division's top coefficient",
+                  series == divided)
+
+
 def _marked_branch_check(k: int, partner: SingularitySpec | None = None) -> Check:
     # k marked tangents, permuted by k!; both degrees are read from the memo
     marked = stratum_degree(SingularitySpec.kbranch(*[1] * k), partner).degree
@@ -120,6 +136,9 @@ def one_point_checks() -> list[Check]:
             chain * incidence_class(ambient, "X", "L1") == kbranch_stratum(p).cls))
     for k in range(2, 6):
         out.append(_marked_branch_check(k))
+    for mults in ((2, 1), (1, 1, 1)):
+        out.append(_series_check(SingularitySpec.kbranch(*mults).describe(),
+                                 kbranch_stratum(*mults)))
     deg = stratum_degree(SingularitySpec.cusp(2)).degree
     hand = 12 * ParamPoly((-1, 1)) * ParamPoly((-2, 1))
     out.append(_check("cusp p=2 degree equals the hand expansion 12(d-1)(d-2)",
@@ -172,9 +191,10 @@ def recursion_checks() -> list[Check]:
         out.append(_check(
             f"cusp p={p} beside a node: recursion equals the printed closed form",
             got.degree == want))
-    fresh = gysin_degree(node_pair_stratum(SingularitySpec.cusp(4)))
+    stratum = node_pair_stratum(SingularitySpec.cusp(4))
     out.append(_check("cusp p=4 beside a node: memoised degree equals a fresh build",
-                      stratum_degree(SingularitySpec.cusp(4), node) == fresh))
+                      stratum_degree(SingularitySpec.cusp(4), node) == gysin_degree(stratum)))
+    out.append(_series_check("cusp p=4 beside a node", stratum))
     # round trip: multiply back by the killing divisor and re-solve
     rhs, kill, _, _ = node_pair_recursion_parts(SingularitySpec.cusp(3))
     cls = rhs.divide_exact(kill)

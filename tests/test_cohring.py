@@ -783,3 +783,89 @@ def test_class_json_writer_edge_cases(stratum):
     text = _class_json(stratum)
     assert text == json.dumps(_class_payload(stratum), indent=2)
     assert CohClass.from_json(json.loads(text)) == stratum.cls
+
+
+# -- the top coefficient of a quotient by the kill divisor's series ----------
+
+
+@st.composite
+def series_ambients(draw):
+    truncs = draw(st.lists(st.integers(1, 4), min_size=0, max_size=4))
+    return VarSpec(tuple((f"G{i}", t) for i, t in enumerate(truncs)))
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_quotient_top_equals_the_division(data):
+    # every dividend whose quotient keeps a power of F at the top level
+    ambient = data.draw(series_ambients())
+    top = ambient.top_exponent()
+    total = sum(top) + 1 + data.draw(st.integers(0, 2))
+    exponent = st.tuples(*(st.integers(0, t - 1) for t in ambient.truncations))
+    a = CohClass(ambient, total, data.draw(st.dictionaries(exponent, kernel_poly, max_size=8)))
+    b = CohClass.divisor(ambient, 1, data.draw(st.fixed_dictionaries(
+        {name: st.one_of(st.just(ParamPoly()), kernel_poly)
+         for name, trunc in ambient.generators if trunc > 1})))
+    if a.is_zero():
+        return
+    assert a.quotient_top(b) == a.divide_exact(b).coefficient(top)
+
+
+@pytest.mark.parametrize("dividend, kill, error, message", [
+    (CohClass(XL, 5, {(0, 0): 1}), divisor(XL, 2, X=1), ValueError, "F coefficient 1"),
+    (CohClass(XL, 5, {(0, 0): 1}), divisor(XL, 0, X=1, L=1), ValueError, "F coefficient 1"),
+    (CohClass(XL, 5, {(0, 0): 1}), divisor(XL, 1, X=1) * divisor(XL, 1, L=1), ValueError,
+     "total_degree 1"),
+    (CohClass.zero(XL, 5), divisor(XL, 1, X=1), ValueError, "zero class"),
+    (CohClass(XL, 5, {(0, 0): 1}), divisor(XYL, 1, X=1), ValueError, "ambient mismatch"),
+    (CohClass.one(VarSpec(())), CohClass.divisor(VarSpec(()), 1), ExactDivisionError,
+     "total_degree 0"),
+])
+def test_quotient_top_checks_its_arguments_as_divide_exact(dividend, kill, error, message):
+    for method in (CohClass.divide_exact, CohClass.quotient_top):
+        with pytest.raises(error, match=message):
+            method(dividend, kill)
+
+
+@pytest.mark.parametrize("c", (1, -2, 3, -7))
+def test_quotient_top_at_tight_bound(c):
+    # the G^8 coefficient of S*F^9 / (F + c*G) is S*(-c)^8 = S*|c|^8, the
+    # series' bound S*r^8 itself, so a field one bit narrower overflows
+    ambient = VarSpec((("G", 9),))
+    s = (1 << 100) - 1
+    b = CohClass.divisor(ambient, 1, {"G": c})
+    assert CohClass(ambient, 9, {(0,): s}).quotient_top(b).coeffs == (s * abs(c) ** 8,)
+    assert CohClass(ambient, 9, {(0,): -s}).quotient_top(b).coeffs == (-s * abs(c) ** 8,)
+
+
+def test_quotient_top_multinomial_by_hand():
+    # F^5 / (F + aX + bL) over {X, L}: the X^2 L^2 coefficient of the series
+    # is (-1)^4 * 4!/(2! 2!) * a^2 b^2 = 6 a^2 b^2
+    a, b = ParamPoly((-3, 1)), ParamPoly((2, -1, 1))
+    kill = divisor(XL, 1, X=a, L=b)
+    assert CohClass(XL, 5, {(0, 0): 1}).quotient_top(kill) == 6 * a ** 2 * b ** 2
+
+
+def test_quotient_top_below_its_range_raises():
+    # q = F^3 + X*L*F has no top monomial X^2 L^2: its level 4 exceeds the
+    # total degree 3.  divide_exact recovers q, whose top coefficient reads
+    # 0, but q * kill is below the series' range and yields no number.
+    kill = divisor(XL, 1, X=ParamPoly((-2, 1)), L=3)
+    q = CohClass(XL, 3, {(0, 0): 1, (1, 1): 1})
+    dividend = q * kill
+    assert dividend.divide_exact(kill) == q and q.coefficient((2, 2)).is_zero()
+    with pytest.raises(ExactDivisionError, match="total_degree - 1 >= 4"):
+        dividend.quotient_top(kill)
+    # one total degree higher the series is the quotient
+    lifted = (q * CohClass.divisor(XL, 1)) * kill
+    assert lifted.quotient_top(kill) == lifted.divide_exact(kill).coefficient((2, 2))
+
+
+def test_quotient_top_builds_no_class(monkeypatch):
+    # the series reads the dividend's packed terms: no product, no division
+    a = product_of([divisor(XYL, 1, X=ParamPoly((-k, 1)), Y=k, L=1) for k in range(1, 9)])
+    kill = divisor(XYL, 1, X=ParamPoly((-4, 1)), L=-2)
+    want = a.divide_exact(kill).coefficient(XYL.top_exponent())
+    for name in ("__init__", "__mul__", "divide_exact"):
+        monkeypatch.setattr(CohClass, name, None)
+    assert a.quotient_top(kill) == want

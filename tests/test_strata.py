@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import pytest
 
@@ -16,7 +17,10 @@ from bistrata.degrees import (
 )
 from bistrata.divisors import incidence_class
 from bistrata.strata import (
+    StratumClass,
+    _build_stratum,
     _diagram_product,
+    _dispatch_order,
     cone_line_names,
     diagram_stratum,
     kbranch_stratum,
@@ -295,3 +299,74 @@ def test_a_degree_miss_leaves_the_stratum_memo_empty():
 
 def test_stratum_memo_is_bounded():
     assert memo.cache_parameters()["maxsize"] == 32
+
+
+# -- cone-kill strata: the degree by the series, the class by division --------
+
+
+def partitions(n, largest=None):
+    """Multiplicity tuples, descending, that sum to n."""
+    if n == 0:
+        return [()]
+    largest = n if largest is None else largest
+    return [(m,) + rest for m in range(min(n, largest), 0, -1)
+            for rest in partitions(n - m, m)]
+
+
+# every kbranch type of total multiplicity 2..6: at most six lines
+KBRANCH_TYPES = [mults for p in range(2, 7) for mults in partitions(p)]
+NODE = SingularitySpec.omp(2)
+
+
+def assert_series_is_the_division(s):
+    series = gysin_degree(s).degree  # read from the dividend
+    divided = s.dividend.divide_exact(s.kill)
+    assert series == divided.coefficient(s.ambient.top_exponent())
+
+
+@pytest.mark.parametrize("mults", KBRANCH_TYPES, ids=str)
+def test_kbranch_series_equals_the_division(mults):
+    assert_series_is_the_division(kbranch_stratum(*mults))
+
+
+@pytest.mark.parametrize("spec", [SingularitySpec.cusp(p) for p in range(2, 10)]
+                         + [SingularitySpec.kbranch(*m) for m in KBRANCH_TYPES],
+                         ids=lambda spec: spec.describe())
+def test_node_pair_series_equals_the_division(spec):
+    # through the dispatch of stratum_for, beside a node, without its memo
+    s = _build_stratum(*_dispatch_order(spec, NODE))
+    assert s.route == "degeneration recursion via ordinary point"
+    assert_series_is_the_division(s)
+
+
+def test_reading_the_class_twice_divides_once(monkeypatch):
+    calls = []
+    divide = CohClass.divide_exact
+
+    def spy(dividend, kill):
+        calls.append((dividend, kill))
+        return divide(dividend, kill)
+
+    monkeypatch.setattr(CohClass, "divide_exact", spy)
+    s = kbranch_stratum(2, 1)
+    degree = gysin_degree(s)
+    assert calls == [] and s.ambient is s.dividend.ambient
+    cls = s.cls
+    assert s.cls is cls and calls == [(s.dividend, s.kill)]
+    # the degree still comes from the series, and equals the class's
+    assert gysin_degree(s) == degree and len(calls) == 1
+    assert degree.degree == cls.coefficient(s.ambient.top_exponent())
+
+
+@pytest.mark.parametrize("build", [lambda: kbranch_stratum(2, 1),
+                                   lambda: node_pair_stratum(SingularitySpec.cusp(3))],
+                         ids=["kbranch", "node-pair"])
+def test_a_divided_stratum_is_the_value_of_its_class(build):
+    # equality, hash, repr and pickling read the class, divided on demand
+    s = build()
+    eager = StratumClass(s.dividend.divide_exact(s.kill), s.aut_order, s.valid_from_d, s.route)
+    assert eager.kill is None and eager.dividend is None
+    assert build() == eager and eager == build()
+    assert hash(build()) == hash(eager) and repr(build()) == repr(eager)
+    restored = pickle.loads(pickle.dumps(build()))
+    assert restored == eager and restored.kill is None

@@ -9,6 +9,7 @@ import pytest
 from bistrata import degrees, strata, verify
 from bistrata.cli import main
 from bistrata.coeffring import ParamPoly
+from bistrata.cohring import CohClass
 from bistrata.collide import SingularitySpec
 from bistrata.degrees import DegreeResult
 
@@ -67,3 +68,24 @@ def test_verify_fails_on_a_wrong_memo_entry(clear_memo, monkeypatch):
     assert main(["verify", "--suite", "corollary"], out, io.StringIO()) == 1
     failed = [line for line in out.getvalue().splitlines() if line.startswith("FAIL")]
     assert failed == ["FAIL two ordinary points (p=3, q=1): product equals the closed form"]
+
+
+def test_warm_suites_still_divide(clear_memo, monkeypatch):
+    # degrees come from the kill series; the series identities read the
+    # class of fresh strata, so a warm call still runs divide_exact
+    for suite in ("appendix", "recursion"):
+        verify.run_suite(suite)  # fills the degree memo
+    divided = []
+    real = CohClass.divide_exact
+
+    def spy(dividend, kill):
+        divided.append(kill.ambient.names)
+        return real(dividend, kill)
+
+    monkeypatch.setattr(CohClass, "divide_exact", spy)
+    assert all(ok for _, ok, _ in verify.run_suite("appendix"))
+    assert ("X", "L1", "L2") in divided and ("X", "L1", "L2", "L3") in divided
+    divided.clear()
+    assert all(ok for _, ok, _ in verify.run_suite("recursion"))
+    # the fresh cusp:4 beside a node, and the cusp:3 round trip
+    assert divided == [("X", "Y", "L", "L1")] * 2
