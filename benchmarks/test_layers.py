@@ -44,9 +44,11 @@ XYL = VarSpec.projective(("X", "Y", "L"))
 @pytest.fixture(scope="module")
 def node_pair_parts():
     """Dividend and kill divisor of the node-pair recursion for kbranch 1^5,
-    and their quotient, which a ``class`` call divides out.  A degree reads
-    the quotient's top coefficient from the dividend by the series instead
-    (``test_gysin_series_node_pair``), so strata-heavy no longer divides."""
+    and their quotient, which a ``class`` call divides out.  The dividend is
+    the stratum's recipe multiplied out by class products, as the first read
+    of ``cls`` does.  A degree builds neither: it reads the top coefficient
+    from the recipe (``test_recipe_degree_node_pair``), so strata-heavy
+    neither multiplies out nor divides."""
     rhs, kill, _, _ = node_pair_recursion_parts(SingularitySpec.kbranch(1, 1, 1, 1, 1))
     return rhs, kill, rhs.divide_exact(kill)
 
@@ -156,7 +158,8 @@ def test_gysin_degree(benchmark):
 
 
 # Gysin extraction by the series: the degree of a cone-kill stratum read from
-# its dividend, without the quotient that ``class`` divides out.
+# its dividend, without the quotient that ``class`` divides out.  The
+# dividend is a one-factor recipe (``StratumClass.by_division``).
 
 def test_gysin_series_node_pair(benchmark, node_pair_parts):
     # a 411-term dividend in place of the 2,112-term quotient
@@ -169,8 +172,29 @@ def test_gysin_series_node_pair(benchmark, node_pair_parts):
 
 def test_gysin_series_kbranch_1_9(benchmark):
     # a 57-term dividend in place of the 10,752-term quotient
-    s = kbranch_stratum(*[1] * 9)
+    recipe = kbranch_stratum(*[1] * 9)
+    s = StratumClass.by_division(recipe.dividend, recipe.kill, recipe.aut_order,
+                                 recipe.valid_from_d, recipe.route)
     assert len(s.dividend.terms) == 57
+    got = benchmark(gysin_degree, s)
+    assert got.degree == s.aut_order * reference_kbranch([1] * 9)
+
+
+# The degree of a cone-kill stratum from its recipe: the factors packed once,
+# multiplied and summed on packed rows, and the top read by the series, with
+# no class between the factors and the top coefficient.
+
+def test_recipe_degree_node_pair(benchmark, node_pair_parts):
+    # node pair kbranch 1^5: three summands over 8 generators
+    _, _, quotient = node_pair_parts
+    s = node_pair_stratum(SingularitySpec.kbranch(1, 1, 1, 1, 1))
+    got = benchmark(gysin_degree, s)
+    assert got.degree == quotient.coefficient(s.ambient.top_exponent())
+
+
+def test_recipe_degree_kbranch_1_9(benchmark):
+    # (F + (d-9)X)^55 and nine incidences over 10 generators
+    s = kbranch_stratum(*[1] * 9)
     got = benchmark(gysin_degree, s)
     assert got.degree == s.aut_order * reference_kbranch([1] * 9)
 

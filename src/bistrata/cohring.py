@@ -53,14 +53,18 @@ A degree needs one coefficient of a quotient, the top monomial's.
 ``CohClass.quotient_top`` reads it from the dividend without dividing:
 where the quotient's top level keeps a power of F, the quotient is the
 finite series sum_j (-N)^j * dividend / F^(j+1), and its top coefficient
-is one packed sum over the dividend's terms.
+is one packed sum over the dividend's terms (``_series_top``).
+``recipe_quotient_top`` reads it without the dividend too: from a recipe,
+a weighted sum of products of factor classes, it packs every factor once
+at one width, multiplies and sums on packed rows, and applies the same
+series, so no class exists between the factors and the top coefficient.
 """
 
 from __future__ import annotations
 
 from collections.abc import Collection, Iterable, Mapping, Sequence
 from itertools import chain
-from math import factorial, prod
+from math import comb, factorial, prod
 from operator import lshift
 
 from ._value import Value
@@ -272,6 +276,145 @@ def _unpacked(rows: Iterable[tuple[int, int]], bias: int, w: int) -> dict[int, P
             v = (v - c) >> w
         out[key - bias] = trusted(row)
     return out
+
+
+def _packed_product(left: list[tuple[int, int]], right: list[tuple[int, int]],
+                    bias: int, guard: int, mask: int = 0,
+                    target: int = 0) -> list[tuple[int, int]]:
+    """Product of two packed classes at one width: the pair loop of ``__mul__``.
+
+    Keys are unbiased on both sides and on the result; a row whose value
+    is 0 is dropped.  With a mask, only the monomials whose fields under
+    it equal target's are formed.  target holds the top exponent in those
+    fields, so no field borrows in target - (k & mask): the right terms
+    that a left key k meets are the ones with those fields.
+    """
+    groups: dict[int, list[tuple[int, int]]] = {0: right}
+    if mask:
+        groups = {}
+        for term in right:
+            groups.setdefault(term[0] & mask, []).append(term)
+    rows: dict[int, int] = {}
+    get = rows.get
+    for p1, a in left:
+        part = groups.get(target - (p1 & mask), ())
+        p1 += bias
+        for p2, b in part:
+            key = p1 + p2
+            if key & guard:
+                continue  # nilpotent: the monomial dies
+            rows[key] = get(key, 0) + a * b
+    return [(key - bias, v) for key, v in rows.items() if v]
+
+
+def _packed_power(x: list[tuple[int, int]], e: int, bias: int,
+                  guard: int) -> list[tuple[int, int]]:
+    """x^e of a packed class by binary powering, with no product by one."""
+    result = None
+    while True:
+        if e & 1:
+            result = x if result is None else _packed_product(result, x, bias, guard)
+        e >>= 1
+        if not e:
+            return [(0, 1)] if result is None else result
+        x = _packed_product(x, x, bias, guard)
+
+
+def _packed_product_of(items: list[list[tuple[int, int]]], bias: int,
+                       guard: int) -> list[tuple[int, int]]:
+    """Balanced product of packed classes, paired as ``product_of`` pairs
+    classes; the product of none is one."""
+    if not items:
+        return [(0, 1)]
+    while len(items) > 1:
+        nxt = [_packed_product(items[i], items[i + 1], bias, guard)
+               for i in range(0, len(items) - 1, 2)]
+        if len(items) % 2:
+            nxt.append(items[-1])
+        items = nxt
+    return items[0]
+
+
+def _norm(coeffs: Iterable[ParamPoly]) -> int:
+    """L1 norm: the sum of |c| over every coefficient of every polynomial."""
+    return sum(sum(map(abs, c.coeffs)) for c in coeffs)
+
+
+def _check_division(ambient: VarSpec, total_degree: int, is_zero: bool, b: "CohClass") -> None:
+    """The argument checks of every division by b: ``divide_exact``,
+    ``quotient_top`` and ``recipe_quotient_top``, for a dividend over
+    ambient of the given total degree."""
+    if ambient is not b.ambient and ambient != b.ambient:
+        raise ValueError(f"ambient mismatch: {ambient.names} vs {b.ambient.names}")
+    if b.total_degree != 1:
+        raise ValueError("divisor must have total_degree 1")
+    if b._terms.get(0, ParamPoly()) != ParamPoly.const(1):  # key 0: the monomial F
+        raise ValueError("divisor must have F coefficient 1")
+    if is_zero:
+        raise ValueError("cannot divide the zero class")
+    if total_degree < 1:
+        raise ExactDivisionError("dividend has total_degree 0")
+
+
+def _series_height(ambient: VarSpec, total_degree: int) -> int:
+    """H = |top|, the top monomial's visible level, for a dividend of
+    total_degree in the range where the kill divisor's series is the
+    quotient (total_degree - 1 >= H); below it ExactDivisionError."""
+    height = sum(ambient.top_exponent())
+    if total_degree - 1 < height:
+        raise ExactDivisionError(
+            f"the top monomial needs total_degree - 1 >= {height} for the series "
+            f"to be the quotient; the dividend has total_degree {total_degree}")
+    return height
+
+
+def _absent_fields(ambient: VarSpec, b: "CohClass") -> int:
+    """Mask of the fields of the generators that b's nilpotent part lacks.
+    A dividend term reaches the top coefficient of its quotient by b only
+    with those fields at the top exponent (``_series_top``)."""
+    shifts, field, _, _ = ambient._layout
+    return sum(field << s for s in shifts if 1 << s not in b._terms)
+
+
+def _series_top(ambient: VarSpec, rows: Iterable[tuple[int, int]], b: "CohClass",
+                w: int) -> ParamPoly:
+    """Top coefficient of a dividend over b = F + N, by the kill divisor's series.
+
+    ``rows`` are the dividend's terms as (unbiased packed key, value at
+    d = 2^w); b is a checked divisor.  The term e contributes
+    rows[e] * (-1)^j * j!/prod(m_g!) * prod(n_g^m_g), with m = top - e and
+    j = |m| (``CohClass.quotient_top`` derives this).  To stay in integers,
+    the generator g contributes n_g^m_g * (t_g - 1)!/m_g!, and the whole
+    sum, which is then D = prod((t_g - 1)!) times the packed top, is
+    divided by D exactly once.  The result is read back at width w, which
+    is exact when every coefficient c of the top has |c| < 2^(w-1).
+    """
+    shifts, field, _, _ = ambient._layout
+    top = ambient.top_exponent()
+    n = dict(_packed(((key, c.coeffs) for key, c in b._terms.items() if key), 0, w))
+    # A generator absent from N has n_g = 0: only terms with m_g = 0 reach the
+    # top, each with the factor (t_g - 1)!/0! that D divides out again, so
+    # other terms are skipped and the generator drops out of D.
+    present = [(s, t) for s, t in zip(shifts, ambient.truncations) if 1 << s in n]
+    absent = _absent_fields(ambient, b)
+    # per generator of N: its shift and n_g^k * (t_g - 1)!/k! for k < t_g
+    weights = [(s, [n[1 << s] ** k * (factorial(t - 1) // factorial(k)) for k in range(t)])
+               for s, t in present]
+    top_key = sum(e << s for e, s in zip(top, shifts))
+    by_order = [0] * (sum(top) + 1)  # the packed sums at each j
+    for key, a in rows:
+        m = top_key - key  # no field borrows: each exponent is below its truncation
+        if m & absent:
+            continue
+        j = 0
+        for s, powers in weights:
+            k = (m >> s) & field
+            j += k
+            a *= powers[k]
+        by_order[j] += a
+    total = sum(v * factorial(j) * (-1) ** j for j, v in enumerate(by_order))
+    scale = prod(factorial(t - 1) for _, t in present)
+    return _unpacked([(0, total // scale)], 0, w).get(0, ParamPoly())
 
 
 class CohClass:
@@ -525,7 +668,7 @@ class CohClass:
         defining equation was inconsistent, or a field overflowed) raises
         ExactDivisionError instead of returning a wrong quotient.
         """
-        self._check_division(b)
+        _check_division(self.ambient, self.total_degree, self.is_zero(), b)
         ambient = self.ambient
         shifts, field, bias, guard = ambient._layout
         t_quot = self.total_degree - 1
@@ -565,18 +708,6 @@ class CohClass:
             raise ExactDivisionError("division left a nonzero remainder")
         return quotient
 
-    def _check_division(self, b: "CohClass") -> None:
-        """The argument checks of ``divide_exact`` and ``quotient_top``."""
-        self._require_same_ambient(b)
-        if b.total_degree != 1:
-            raise ValueError("divisor must have total_degree 1")
-        if b._terms.get(0, ParamPoly()) != ParamPoly.const(1):  # key 0: the monomial F
-            raise ValueError("divisor must have F coefficient 1")
-        if self.is_zero():
-            raise ValueError("cannot divide the zero class")
-        if self.total_degree < 1:
-            raise ExactDivisionError("dividend has total_degree 0")
-
     def quotient_top(self, b: "CohClass") -> ParamPoly:
         """Top-monomial coefficient of ``self.divide_exact(b)``, without the quotient.
 
@@ -599,53 +730,30 @@ class CohClass:
         Below that range the series is not the quotient, and this raises
         ExactDivisionError instead of returning a number.
 
-        The sum runs on Kronecker-packed integers, as ``divide_exact`` does:
-        self and every n_g are packed at d = 2^w, a ring map, so the packed
-        sum is exact for every w.  To stay in integers, the generator g
-        contributes n_g^m_g * (t_g - 1)!/m_g!, and the whole sum, which is
-        then D = prod((t_g - 1)!) times the packed top, is divided by D
-        exactly once.  The read-back needs |c| < 2^(w-1) for the top's
-        coefficients c.  With r the L1 norm of N, the L1 norm of the g^m
-        coefficient of N^j is at most r^j (the multinomial sum of the norms
-        is (sum |n_g|)^j), so every |c| is at most the sum over e of
-        |self[e]| * r^(H - |e|), with |self[e]| the L1 norm of the term's
-        coefficient; w is one bit wider than that bound.
+        The sum runs on Kronecker-packed integers (``_series_top``): self
+        and every n_g are packed at d = 2^w, a ring map, so the packed sum
+        is exact for every w, and w only has to make the read-back of the
+        top exact, |c| < 2^(w-1) for its coefficients c.  With r the L1 norm
+        of N, the L1 norm of the g^m coefficient of N^j is at most r^j (the
+        multinomial sum of the norms is (sum |n_g|)^j), so every |c| is at
+        most the sum over e of |self[e]| * r^(H - |e|), with |self[e]| the
+        L1 norm of the term's coefficient; w is one bit wider than that
+        bound.
         """
-        self._check_division(b)
+        _check_division(self.ambient, self.total_degree, self.is_zero(), b)
         ambient = self.ambient
-        top = ambient.top_exponent()
-        height = sum(top)
-        if self.total_degree - 1 < height:
-            raise ExactDivisionError(
-                f"the top monomial needs total_degree - 1 >= {height} for the series "
-                f"to be the quotient; the dividend has total_degree {self.total_degree}")
+        height = _series_height(ambient, self.total_degree)
         shifts, field, _, _ = ambient._layout
         terms = [(key, c.coeffs) for key, c in self._terms.items()]
-        levels = [sum([(key >> s) & field for s in shifts]) for key, _ in terms]
         norms = [0] * (height + 1)
-        for level, (_, cs) in zip(levels, terms):
-            norms[level] += sum(map(abs, cs))
-        r = sum(sum(map(abs, c.coeffs)) for key, c in b._terms.items() if key)
+        for key, cs in terms:
+            norms[sum([(key >> s) & field for s in shifts])] += sum(map(abs, cs))
+        r = _norm(c for key, c in b._terms.items() if key)
         bound = 0
         for norm in norms:  # Horner in r: sum over L of norms[L] * r^(H - L)
             bound = bound * r + norm
         w = bound.bit_length() + 1
-        n = dict(_packed(((key, c.coeffs) for key, c in b._terms.items() if key), 0, w))
-        # per generator: its shift and n_g^k * (t_g - 1)!/k! for k < t_g
-        weights = [(s, [n.get(1 << s, 0) ** k * (factorial(t - 1) // factorial(k))
-                        for k in range(t)])
-                   for s, t in zip(shifts, ambient.truncations)]
-        top_key = sum(e << s for e, s in zip(top, shifts))
-        by_level = [0] * (height + 1)
-        for (key, a), level in zip(_packed(terms, 0, w), levels):
-            m = top_key - key  # no field borrows: each exponent is below its truncation
-            for s, powers in weights:
-                a *= powers[(m >> s) & field]
-            by_level[level] += a
-        total = sum(v * factorial(height - level) * (-1) ** (height - level)
-                    for level, v in enumerate(by_level))
-        scale = prod(factorial(t - 1) for t in ambient.truncations)
-        return _unpacked([(0, total // scale)], 0, w).get(0, ParamPoly())
+        return _series_top(ambient, _packed(terms, 0, w), b, w)
 
     # -- serialization and display ---------------------------------------------
 
@@ -727,6 +835,145 @@ class CohClass:
 
     def __repr__(self) -> str:
         return f"<CohClass deg={self.total_degree} over {self.ambient.names}: {self}>"
+
+
+def recipe_quotient_top(summands: Sequence[tuple[int, Sequence[tuple[CohClass, int]]]],
+                        b: CohClass) -> ParamPoly:
+    """Top-monomial coefficient of a recipe divided by b, from its factors alone.
+
+    A recipe is a sequence of summands (weight, factors): an int weight and
+    a sequence of (class, exponent) pairs over b's ambient.  It stands for
+    the dividend sum(weight * prod(class^exponent)), and the result equals
+    ``dividend.quotient_top(b)`` and ``dividend.divide_exact(b)``'s top
+    coefficient.  No class is built in between: each factor is packed
+    once, at d = 2^W for one width W; powers and balanced products run on
+    packed rows with the pair loop of ``__mul__`` (biased left keys, guard
+    mask); the weighted summands are summed in packed form; and the kill
+    divisor's series (``_series_top``, which ``quotient_top`` shares)
+    reads back the top coefficient alone.
+
+    Two steps save work without changing the value.  The factors that every
+    summand holds (one class at one exponent) are multiplied once, after the
+    sum: sum_s w_s * C * P_s = C * sum_s w_s * P_s.  And that last product
+    forms only the terms that can reach the top, those with the top
+    exponent in every generator that b's nilpotent part lacks.
+
+    Why it is exact.  Packing is evaluation at d = 2^W, a ring map from
+    Z[d][g]/(g^t) to Z[g]/(g^t), so every packed power, product and sum is
+    the image of the true one, for any W.  A row whose value is 0 is 0 in
+    that image and contributes 0 to every later product and sum, so it is
+    dropped.  W matters only for the final read-back, which is exact when
+    every coefficient c of the top has |c| < 2^(W-1).  ``_recipe_bound``
+    bounds |c| with the L1 norm ||x||, the sum of |c| over every term of x
+    and every power of d, and H = sum(t_g - 1), the top monomial's level:
+
+    * ||xy|| <= ||x|| ||y||: a coefficient of xy sums products of one
+      coefficient of x and one of y, each pair at most once, and the
+      truncations only drop terms.  ||sum w_i x_i|| <= sum |w_i| ||x_i||.
+    * For a divisor x = F + N (total degree 1, F coefficient 1),
+      x^e = sum_k C(e, k) F^(e-k) N^k, and N^k = 0 for k > H: N has visible
+      degree 1, and no monomial above level H survives the truncations.
+      So ||x^e|| <= sum over k <= min(e, H) of C(e, k) ||N||^k, with
+      ||N|| = ||x|| - 1 (``_power_bound``); for any other factor
+      ||x^e|| <= ||x||^e.  Hence ||dividend|| <= D, the sum over the
+      summands of |weight| times the product of those bounds.
+    * With r = ||N|| for b = F + N, every |c| is at most
+      sum_e ||dividend[e]|| r^(H - |e|) (``CohClass.quotient_top``), which
+      is at most ||dividend|| * max(1, r)^H <= D * max(1, r)^H.
+
+    W is one bit wider than D * max(1, r)^H.  That bound is at least D, so
+    it bounds every coefficient of the dividend too: a nonzero dividend
+    keeps a nonzero packed row, and the zero check is exact as well.
+
+    The checks are those of ``divide_exact`` (``_check_division``) and the
+    range check of ``quotient_top``: a recipe below the range raises
+    ExactDivisionError.  A factor over another ambient, a negative
+    exponent, a summand without factors, no summand at all, or summands of
+    different total degrees raise ValueError.
+    """
+    ambient = b.ambient
+    _, _, bias, guard = ambient._layout
+    total_degree, bound = _recipe_bound(summands, b)
+    w = bound.bit_length() + 1
+
+    rests = [(weight, list(factors)) for weight, factors in summands]
+    shared = []  # the (class, exponent) pairs that every summand holds
+    for x, e in summands[0][1]:
+        spots = [next((i for i, (y, k) in enumerate(rest) if y is x and k == e), None)
+                 for _, rest in rests]
+        if None not in spots:
+            shared.append((x, e))
+            for (_, rest), i in zip(rests, spots):
+                del rest[i]
+
+    packed: dict[int, list[tuple[int, int]]] = {}  # id(class) -> its packed terms
+
+    def power(x: CohClass, e: int) -> list[tuple[int, int]]:
+        terms = packed.get(id(x))
+        if terms is None:
+            terms = packed[id(x)] = _packed(
+                ((key, c.coeffs) for key, c in x._terms.items()), 0, w)
+        return _packed_power(terms, e, bias, guard)
+
+    rows: dict[int, int] = {}
+    get = rows.get
+    for weight, rest in rests:
+        for key, v in _packed_product_of([power(x, e) for x, e in rest], bias, guard):
+            rows[key] = get(key, 0) + weight * v
+    weighted = [(key, v) for key, v in rows.items() if v]
+    common = _packed_product_of([power(x, e) for x, e in shared], bias, guard)
+    mask = _absent_fields(ambient, b)
+    top_key = sum(map(lshift, ambient.top_exponent(), ambient._layout[0]))
+    dividend = _packed_product(weighted, common, bias, guard, mask, top_key & mask)
+    # the zero check needs the whole product only when no top term is left
+    is_zero = not dividend and not _packed_product(weighted, common, bias, guard)
+    _check_division(ambient, total_degree, is_zero, b)
+    _series_height(ambient, total_degree)
+    return _series_top(ambient, dividend, b, w)
+
+
+def _recipe_bound(summands: Sequence[tuple[int, Sequence[tuple[CohClass, int]]]],
+                  b: CohClass) -> tuple[int, int]:
+    """(total degree, bound) of a recipe's dividend over b = F + N.
+
+    Every coefficient of the top of dividend / b, and of the dividend
+    itself, is at most the bound, D * max(1, r)^H in absolute value;
+    ``recipe_quotient_top`` proves it.  The recipe is validated on the way,
+    as that function states.
+    """
+    height = sum(b.ambient.top_exponent())
+    if not summands:
+        raise ValueError("a recipe needs at least one summand")
+    total_degree = None
+    dividend_bound = 0
+    for weight, factors in summands:
+        if not factors:
+            raise ValueError("empty product has no ambient to live in")
+        degree, bound = 0, abs(weight)
+        for x, e in factors:
+            x._require_same_ambient(b)
+            if e < 0:
+                raise ValueError("negative powers are not defined")
+            degree += e * x.total_degree
+            bound *= _power_bound(x, e, height)
+        if total_degree is None:
+            total_degree = degree
+        elif degree != total_degree:
+            raise ValueError(
+                f"cannot add classes of total degree {total_degree} and {degree}")
+        dividend_bound += bound
+    r = _norm(c for key, c in b._terms.items() if key)
+    return total_degree, dividend_bound * max(1, r) ** height
+
+
+def _power_bound(x: CohClass, e: int, height: int) -> int:
+    """A bound on ||x^e||, the L1 norm, for a class over generators whose
+    top monomial has level ``height``: the binomial sum for a divisor
+    F + N, ||x||^e otherwise (``recipe_quotient_top`` proves both)."""
+    norm = _norm(x._terms.values())
+    if x.total_degree == 1 and x._terms.get(0) == ParamPoly.const(1):
+        return sum(comb(e, k) * (norm - 1) ** k for k in range(min(e, height) + 1))
+    return norm ** e
 
 
 def product_of(factors: Sequence[CohClass]) -> CohClass:

@@ -4,8 +4,9 @@ reference-formula catalog.
 The degree of a stratum is the coefficient of the top monomial in the
 auxiliary generators (exponent truncation-1 on each), divided by the order
 of the symmetry that permutes identical singularity data.  A cone-kill
-stratum gives that coefficient from its dividend, by the kill divisor's
-finite series, so a degree never divides a class.  The catalog
+stratum gives that coefficient from its recipe, by the kill divisor's
+finite series on packed factors (``recipe_quotient_top``), so a degree
+never multiplies out a dividend or divides a class.  The catalog
 transcribes published closed forms literally in exact integer arithmetic.
 Several of them carry fractional prefactors that must clear on integer
 inputs: each such coefficient is computed as one integer product and divided
@@ -33,6 +34,7 @@ from functools import lru_cache
 
 from ._value import Value
 from .coeffring import InterpolationError, ParamPoly, binomial
+from .cohring import recipe_quotient_top
 from .collide import NewtonDiagram, SingularitySpec
 from .divisors import incidence_class
 from .strata import StratumClass, _build_stratum, _dispatch_order
@@ -79,12 +81,13 @@ class DegreeResult(Value):
 def gysin_degree(s: StratumClass) -> DegreeResult:
     """Top-monomial coefficient of a lifted stratum, with its symmetry divisor.
 
-    A cone-kill stratum gives it from its dividend, by the kill divisor's
-    finite series (``CohClass.quotient_top``), so its class is not divided
-    here; any other stratum gives its class's top coefficient.
+    A cone-kill stratum gives it from its recipe, by the kill divisor's
+    finite series on packed factors (``recipe_quotient_top``), so neither
+    its dividend nor its class is built here; any other stratum gives its
+    class's top coefficient.
     """
     if s.kill is not None:
-        raw = s.dividend.quotient_top(s.kill)
+        raw = recipe_quotient_top(s.summands, s.kill)
     else:
         raw = s.cls.coefficient(s.ambient.top_exponent())
     return DegreeResult(raw, s.aut_order, s.valid_from_d, s.route)

@@ -98,7 +98,13 @@ def omp_conditions_class(ambient: VarSpec, p: int, point: str = "X") -> CohClass
     The conditions are a smooth global complete intersection, so the class
     is (F + (d-p)*point)^binomial(p+2, 2).
     """
+    factor, power = _omp_conditions_factor(ambient, p, point)
+    return factor ** power
+
+
+def _omp_conditions_factor(ambient: VarSpec, p: int, point: str = "X") -> tuple[CohClass, int]:
+    """``omp_conditions_class`` as a factor and its exponent, unmultiplied:
+    (F + (d-p)*point, binomial(p+2, 2)).  Strata recipes hold it so."""
     if p < 1:
         raise ValueError("p must be >= 1")
-    factor = CohClass.divisor(ambient, 1, {point: ParamPoly((-p, 1))})
-    return factor ** binomial(p + 2, 2)
+    return CohClass.divisor(ambient, 1, {point: ParamPoly((-p, 1))}), binomial(p + 2, 2)

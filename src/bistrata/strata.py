@@ -20,12 +20,16 @@ Three construction routes appear:
   merged-points locus.  The division is exact because the killing divisor
   is F + (nilpotent part).
 
-A cone-kill stratum is returned undivided (``StratumClass.by_division``):
-it records the dividend and the kill divisor, and divides the first time
-its class is read.  Its degree needs one coefficient of the quotient, which
-``CohClass.quotient_top`` reads from the dividend by the kill divisor's
-finite series; every kbranch and node-pair dividend lies in the range where
-that series is the quotient.
+A cone-kill stratum is a recipe (``StratumClass.by_recipe``): its kill
+divisor and a list of summands, each an integer weight times (factor
+class, exponent) pairs, whose sum is the dividend.  kbranch has one
+summand, the conditions factor F + (d-p)X to the power M times the
+incidences; a node pair has the recursion's terms, two or three.  Its degree
+is one coefficient of the quotient, which ``recipe_quotient_top`` computes
+from the factors on one Kronecker evaluation, without building the
+dividend or the quotient; every kbranch and node-pair recipe lies in the
+range where the kill divisor's series is the quotient.  Only a read of the
+class multiplies the recipe out and divides.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ from .coeffring import ParamPoly
 from .cohring import CohClass, VarSpec, product_of
 from .collide import NewtonDiagram, SingularitySpec, cusp_diagram, is_linear
 from .divisors import (
+    _omp_conditions_factor,
     diagonal_class,
     exceptional_class,
     incidence_class,
@@ -50,37 +55,68 @@ from .divisors import (
 class StratumClass(Value):
     """A lifted stratum class with its extraction metadata.
 
-    A cone-kill stratum (``by_division``) records its dividend and kill
-    divisor instead of its class.  The class is their exact quotient: the
-    first read of ``cls`` runs ``divide_exact``, multiply-back check
-    included, and keeps the result.  ``gysin_degree`` reads the degree of
-    such a stratum from the dividend and never needs the quotient.
-    Equality, hashing, repr and pickling are those of the class, so they
-    read it.  Any other stratum holds its class from the start, with
-    ``dividend`` and ``kill`` None.
+    A cone-kill stratum (``by_recipe``) holds a recipe instead of its class:
+    its kill divisor and its summands, each an integer weight times a list
+    of (factor class, exponent) pairs.  The dividend is the sum of the
+    weighted products, and the class is the dividend divided by the kill
+    divisor.  ``gysin_degree`` reads the degree from the recipe alone
+    (``recipe_quotient_top``), with no class in between.  The first read of
+    ``dividend`` multiplies the recipe out and keeps the result; the first
+    read of ``cls`` divides that kept dividend with ``divide_exact``,
+    multiply-back check included, and keeps the quotient.  Equality,
+    hashing, repr and pickling are those of the class, so they read it.
+    Any other stratum holds its class from the start, with ``summands``,
+    ``kill`` and ``dividend`` None.
     """
 
     _fields = ("cls", "aut_order", "valid_from_d", "route")
-    __slots__ = ("_cls", "dividend", "kill", "ambient", "aut_order", "valid_from_d", "route")
+    __slots__ = ("_cls", "_dividend", "summands", "kill", "ambient", "aut_order",
+                 "valid_from_d", "route")
 
     def __init__(self, cls: CohClass, aut_order: int, valid_from_d: int, route: str):
-        self._assign(_cls=cls, dividend=None, kill=None, ambient=cls.ambient,
+        self._assign(_cls=cls, _dividend=None, summands=None, kill=None, ambient=cls.ambient,
                      aut_order=aut_order, valid_from_d=valid_from_d, route=route)
+
+    @classmethod
+    def by_recipe(cls, summands: list[tuple[int, list[tuple[CohClass, int]]]], kill: CohClass,
+                  aut_order: int, valid_from_d: int, route: str) -> "StratumClass":
+        """The stratum whose class is sum(weight * prod(factor^exponent)) / kill,
+        multiplied out and divided when first read."""
+        stratum = object.__new__(cls)
+        stratum._assign(_cls=None, _dividend=None, summands=summands, kill=kill,
+                        ambient=kill.ambient, aut_order=aut_order,
+                        valid_from_d=valid_from_d, route=route)
+        return stratum
 
     @classmethod
     def by_division(cls, dividend: CohClass, kill: CohClass, aut_order: int,
                     valid_from_d: int, route: str) -> "StratumClass":
-        """The stratum whose class is dividend / kill, divided when first read."""
-        stratum = object.__new__(cls)
-        stratum._assign(_cls=None, dividend=dividend, kill=kill, ambient=dividend.ambient,
-                        aut_order=aut_order, valid_from_d=valid_from_d, route=route)
-        return stratum
+        """The stratum whose class is dividend / kill: a recipe of one factor."""
+        return cls.by_recipe([(1, [(dividend, 1)])], kill, aut_order, valid_from_d, route)
+
+    @property
+    def dividend(self) -> CohClass | None:
+        if self._dividend is None and self.summands is not None:
+            self._assign(_dividend=_multiplied_out(self.summands))
+        return self._dividend
 
     @property
     def cls(self) -> CohClass:
         if self._cls is None:
             self._assign(_cls=self.dividend.divide_exact(self.kill))
         return self._cls
+
+
+def _multiplied_out(summands: list[tuple[int, list[tuple[CohClass, int]]]]) -> CohClass:
+    """The dividend of a recipe, sum(weight * prod(factor^exponent)), by the
+    ring's own products: each summand is one ``product_of``."""
+    total = None
+    for weight, factors in summands:
+        term = product_of([x if e == 1 else x ** e for x, e in factors])
+        if weight != 1:
+            term = term.scaled(weight)
+        total = term if total is None else total + term
+    return total
 
 
 def cone_line_names(k: int) -> tuple[str, ...]:
@@ -121,12 +157,13 @@ def kbranch_stratum(*mults: int) -> StratumClass:
     finds that quotient and checks it by multiplying back.  Identical branch
     multiplicities are permuted by the deck symmetry, recorded in aut_order.
 
-    The stratum is returned undivided: the dividend is the conditions times
-    the incidences, of total degree M + k, and the quotient's top monomial
-    has visible level 2 + 2k.  M >= k + 3 holds for every type (p >= k
-    and p >= 2), so the degree comes from the dividend by the kill
-    divisor's series (``CohClass.quotient_top``), and only a read of
-    ``cls`` divides.
+    The stratum is a recipe of one summand: the conditions as the factor
+    F + (d-p)X to the power M, and the incidences.  The dividend has total
+    degree M + k, and the quotient's top monomial has visible level 2 + 2k.
+    M >= k + 3 holds for every type (p >= k and p >= 2), so the degree is
+    read from the recipe by the kill divisor's series
+    (``recipe_quotient_top``), and only a read of ``cls`` multiplies it
+    out and divides.
 
     A single branch is the cusp: ``stratum_for`` builds it by its diagram
     product, and ``verify`` compares that with this division.
@@ -135,27 +172,31 @@ def kbranch_stratum(*mults: int) -> StratumClass:
     p = sum(mults)
     names = cone_line_names(len(mults))
     ambient = VarSpec.projective(("X",) + names)
-    conditions = product_of([omp_conditions_class(ambient, p)]
-                            + [incidence_class(ambient, "X", name) for name in names])
+    factors = ([_omp_conditions_factor(ambient, p)]
+               + [(incidence_class(ambient, "X", name), 1) for name in names])
     kill = kill_tangent_cone_class(ambient, p, list(zip(names, mults)))
-    return StratumClass.by_division(conditions, kill, aut_order=_branch_symmetry(mults),
-                                    valid_from_d=spec.determinacy_order,
-                                    route="marked-branch product")
+    return StratumClass.by_recipe([(1, factors)], kill, aut_order=_branch_symmetry(mults),
+                                  valid_from_d=spec.determinacy_order,
+                                  route="marked-branch product")
 
 
 def _diagram_product(nd: NewtonDiagram, ambient: VarSpec,
                      point: str = "X", line: str = "L") -> CohClass:
-    """Multiplicity conditions of a diagram times its vertex-kill divisors.
+    """Multiplicity conditions of a diagram times its vertex-kill divisors."""
+    m = nd.multiplicity
+    factors = [omp_conditions_class(ambient, m - 1, point)]
+    return product_of(factors + _vertex_kills(nd, ambient, point, line))
+
+
+def _vertex_kills(nd: NewtonDiagram, ambient: VarSpec,
+                  point: str = "X", line: str = "L") -> list[CohClass]:
+    """The vertex-kill divisors of a diagram.
 
     The diagram is read with the traced tangent line along its vertical
     axis: the kill class of the lattice point (a, b) therefore has b as the
     along-line exponent and a as the transverse one.
     """
-    m = nd.multiplicity
-    factors = [omp_conditions_class(ambient, m - 1, point)]
-    for a, b in nd.kill_points():
-        factors.append(monomial_kill_class(ambient, b, a, point, line))
-    return product_of(factors)
+    return [monomial_kill_class(ambient, b, a, point, line) for a, b in nd.kill_points()]
 
 
 def diagram_stratum(nd: NewtonDiagram) -> StratumClass:
@@ -177,12 +218,14 @@ def _two_omp_product(ambient: VarSpec, p: int, q: int) -> CohClass:
 
 def _two_omp_factors(ambient: VarSpec, p: int, q: int) -> list[CohClass]:
     """The factors of ``_two_omp_product``: incidences, conditions, linear factors."""
+    return [incidence_class(ambient, "X", "L"), incidence_class(ambient, "Y", "L"),
+            omp_conditions_class(ambient, p)] + _two_omp_linear_factors(ambient, p, q)
+
+
+def _two_omp_linear_factors(ambient: VarSpec, p: int, q: int) -> list[CohClass]:
+    """The linear factors of the y conditions, offset by the exceptional divisor."""
     exceptional = exceptional_class(ambient)
-    factors = [
-        incidence_class(ambient, "X", "L"),
-        incidence_class(ambient, "Y", "L"),
-        omp_conditions_class(ambient, p),
-    ]
+    factors = []
     for i in range(q + 1):
         for j in range(q - i + 1):
             linear = CohClass.divisor(ambient, 1, {
@@ -264,12 +307,14 @@ def _memoised_stratum(sx: SingularitySpec, sy: SingularitySpec | None) -> Stratu
 
     The bound of 32 entries is fixed from the traffic: a warm query stream
     asks for about 16 distinct classes, 0.16 MiB together.  An entry holds
-    a whole class, and a cone-kill entry (kbranch, node pairs) its dividend
-    as well, plus the quotient once the class is read: a few KiB for an
-    ordinary point or a cusp; for kbranch 1^8 a 12 KiB dividend and a
-    0.9 MiB quotient, for kbranch 1^9 13 KiB and 1.8 MiB.  32 read entries
-    of that last size hold about 57 MiB, and each further branch multiplies
-    a quotient by about 2.3.
+    a whole class, a few KiB for an ordinary point or a cusp.  A cone-kill
+    entry (kbranch, node pairs) holds its recipe instead: small factor
+    classes and the kill divisor, 14 KiB for kbranch 1^8 and 24 KiB for
+    node pair kbranch 1^5, not a dividend.  Reading its class multiplies
+    the recipe out and divides, and the entry keeps both: for kbranch 1^8
+    a 13 KiB dividend and a 0.9 MiB quotient, for kbranch 1^9 14 KiB and
+    1.9 MiB.  32 read entries of that last size hold about 61 MiB, and each
+    further branch multiplies a quotient by about 2.3.
     """
     return _build_stratum(sx, sy)
 
@@ -318,14 +363,17 @@ def residual_tangency_two_diagram(p: int) -> NewtonDiagram:
     return NewtonDiagram.from_points([(0, p + 2), (1, p), (p + 1, 0)])
 
 
-def node_pair_recursion_parts(sx: SingularitySpec):
-    """Right-hand side and killing divisor of the recursion for (sx, node).
+def _node_pair_recipe(sx: SingularitySpec):
+    """Recipe and killing divisor of the recursion for (sx, node).
 
     Supported sx kinds are cusp and kbranch: exactly the types whose cone
     kill lands on an ordinary point, for which the residual components and
     their tangency degrees (2 along the generic-line locus, 1 along each
     simple-tangent coincidence, none along multiple-tangent coincidences)
-    are established.  Returns (rhs, kill, ambient, line_names).
+    are established.  The right-hand side is the sum of three summands:
+    the degenerate term, 2 * merged * s1, and sum(diagonals) * merged * s2
+    (the last only when a tangent is simple).  Returns (summands, kill,
+    ambient, line_names).
     """
     if sx.kind not in ("cusp", "kbranch"):
         raise ValueError(
@@ -339,44 +387,60 @@ def node_pair_recursion_parts(sx: SingularitySpec):
     cone_pairs = list(zip(names, cone))
 
     kill = kill_tangent_cone_class(ambient, p, cone_pairs)
-    marked = product_of([incidence_class(ambient, "X", name) for name in names])
+    # every summand holds these two: the conditions of multiplicity p+1 (the
+    # residual diagrams have that multiplicity too) and the marked incidences
+    conditions = _omp_conditions_factor(ambient, p)
+    marked = [(incidence_class(ambient, "X", name), 1) for name in names]
+    on_line = incidence_class(ambient, "X", "L")
 
     # cone killed: an ordinary point of multiplicity p+1 beside the node
-    degenerate = _two_omp_product(ambient, p, 1) * marked
-
-    merged = diagonal_class(ambient, "X", "Y", 2)
-    s1 = _diagram_product(residual_tangency_one_diagram(p), ambient)
-    s1 = s1 * incidence_class(ambient, "X", "L") * marked
+    degenerate = ([(on_line, 1), (incidence_class(ambient, "Y", "L"), 1), conditions]
+                  + [(x, 1) for x in _two_omp_linear_factors(ambient, p, 1)])
+    merged = (diagonal_class(ambient, "X", "Y", 2), 1)
+    s1 = ([conditions, (on_line, 1)]
+          + [(x, 1) for x in _vertex_kills(residual_tangency_one_diagram(p), ambient)])
     # the kill divisor has tangency degree 2 along the generic-line locus
-    rhs = degenerate + (merged * s1).scaled(2)
+    summands = [(1, marked + degenerate), (2, marked + [merged] + s1)]
 
     simple_lines = [name for name, mult in cone_pairs if mult == 1]
     if simple_lines:
         # On {l = l_i} the incidences of x with l and with l_i coincide, so
         # only the marked-line incidences enter; adding (X+L) as well would
         # overshoot the codimension by one.
-        s2 = _diagram_product(residual_tangency_two_diagram(p), ambient) * marked
+        s2 = [conditions] + [(x, 1) for x in
+                             _vertex_kills(residual_tangency_two_diagram(p), ambient)]
         # tangency degree 1 along each simple-tangent coincidence
         diagonals = [diagonal_class(ambient, "L", name, 2) for name in simple_lines]
-        rhs = rhs + sum(diagonals[1:], diagonals[0]) * (merged * s2)
-    return rhs, kill, ambient, names
+        summands.append((1, marked + [(sum(diagonals[1:], diagonals[0]), 1), merged] + s2))
+    return summands, kill, ambient, names
+
+
+def node_pair_recursion_parts(sx: SingularitySpec):
+    """Right-hand side and killing divisor of the recursion for (sx, node).
+
+    The right-hand side is the node-pair recipe (``_node_pair_recipe``,
+    which states the supported types) multiplied out.  Returns (rhs, kill,
+    ambient, line_names).
+    """
+    summands, kill, ambient, names = _node_pair_recipe(sx)
+    return _multiplied_out(summands), kill, ambient, names
 
 
 def node_pair_stratum(sx: SingularitySpec) -> StratumClass:
     """Lifted stratum of sx at one point and a node at another, by recursion.
 
-    The stratum is the recursion's right-hand side divided by the kill
-    divisor, returned undivided (``StratumClass.by_division``).  For k cone
-    lines the right-hand side has total degree M + 5 + k, M = binomial(p+2,
-    2), and the quotient's top monomial has visible level 6 + 2k; M >= k + 2
-    always holds, so the degree is read from the right-hand side by the
-    kill divisor's series (``CohClass.quotient_top``), and only a read of
-    ``cls`` divides.
+    The stratum is the recursion's recipe over the kill divisor
+    (``StratumClass.by_recipe``).  For k cone lines the right-hand side has
+    total degree M + 5 + k, M = binomial(p+2, 2), and the quotient's top
+    monomial has visible level 6 + 2k; M >= k + 2 always holds, so the
+    degree is read from the recipe by the kill divisor's series
+    (``recipe_quotient_top``), and only a read of ``cls`` multiplies the
+    recipe out and divides.
     """
-    rhs, kill, ambient, names = node_pair_recursion_parts(sx)
+    summands, kill, _, _ = _node_pair_recipe(sx)
     aut = _branch_symmetry(sx.mults)
     if sx.mults == (1, 1):
         aut *= 2  # both points are then plain nodes, unordered
     valid = sx.determinacy_order + 2
-    return StratumClass.by_division(rhs, kill, aut_order=aut, valid_from_d=valid,
-                                    route="degeneration recursion via ordinary point")
+    return StratumClass.by_recipe(summands, kill, aut_order=aut, valid_from_d=valid,
+                                  route="degeneration recursion via ordinary point")

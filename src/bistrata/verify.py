@@ -11,11 +11,14 @@ with a fresh build (``two_omp_stratum(6, 3)`` and ``node_pair_stratum``
 of ``cusp:4``), so every call still runs the builders and the ring kernel,
 and a bad memo entry cannot hide behind itself.
 
-A cone-kill degree is read from the dividend by the kill divisor's finite
-series, without dividing (``gysin_degree``).  Three identities compare
-that series with the top coefficient of the divided class, on fresh
-builds of ``cusp:4`` beside a node, kbranch (2,1) and kbranch 1^3, so
-every call also runs ``divide_exact`` and its multiply-back check.
+A cone-kill degree is read from the stratum's recipe by the kill divisor's
+finite series, on packed factors and without any class (``gysin_degree``).
+Three identities compare it with the top coefficient of the divided class,
+on fresh builds of ``cusp:4`` beside a node, kbranch (2,1) and kbranch 1^3.
+The two sides run different kernels: the degree comes from the packed
+recipe executor, the class from the product kernel, which multiplies the
+recipe out, and the division kernel, with its multiply-back check.  So
+every call also runs ``divide_exact``.
 """
 
 from __future__ import annotations
@@ -105,8 +108,9 @@ def _two_omp_degree(p: int, q: int) -> ParamPoly:
 
 
 def _series_check(what: str, stratum: StratumClass) -> Check:
-    # the degree by the kill series, against the class that the first read of
-    # ``cls`` divides out, multiply-back check included
+    # the degree by the kill series on the packed recipe, against the class
+    # that the first read of ``cls`` multiplies out and divides, multiply-back
+    # check included
     series = gysin_degree(stratum).degree
     divided = stratum.cls.coefficient(stratum.ambient.top_exponent())
     return _check(f"{what}: the kill divisor's series equals the division's top coefficient",

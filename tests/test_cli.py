@@ -261,6 +261,27 @@ def test_import_loads_neither_dataclasses_nor_inspect():
     assert not watched & added
 
 
+# What ``import bistrata.cli`` loads under -S: the package and its nine
+# modules, and these modules of the standard library.  A module outside this
+# set is import time every CLI process pays.
+PACKAGE_MODULES = {"bistrata"} | {f"bistrata.{name}" for name in (
+    "_value", "cli", "coeffring", "cohring", "collide", "degrees", "divisors", "strata",
+    "verify")}
+STDLIB_MODULES = {
+    "__future__", "_bisect", "_collections", "_collections_abc", "_functools", "_operator",
+    "_random", "_sha512", "_sre", "_stat", "argparse", "bisect", "collections",
+    "collections.abc", "contextlib", "copyreg", "enum", "functools", "genericpath",
+    "gettext", "itertools", "keyword", "math", "operator", "os", "os.path", "posixpath",
+    "random", "re", "re._casefix", "re._compiler", "re._constants", "re._parser", "reprlib",
+    "stat", "types", "warnings"}
+
+
+def test_import_loads_the_package_and_no_new_standard_module():
+    before, added = _modules_before_and_added_by_import()
+    assert {name for name in added if name.split(".")[0] == "bistrata"} == PACKAGE_MODULES
+    assert {name for name in added if name.split(".")[0] != "bistrata"} <= STDLIB_MODULES
+
+
 def test_import_loads_no_module_that_only_some_outputs_use():
     # fractions (with decimal and numbers) only for a non-convex diagram's
     # message, json and csv only for the formats that print them

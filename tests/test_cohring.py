@@ -3,9 +3,11 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bistrata import cohring
 from bistrata.cli import _class_json
 from bistrata.coeffring import _DECIMAL, ParamPoly, binomial
-from bistrata.cohring import CohClass, ExactDivisionError, VarSpec, product_of
+from bistrata.cohring import (CohClass, ExactDivisionError, VarSpec, product_of,
+                              recipe_quotient_top)
 from bistrata.strata import StratumClass
 
 XL = VarSpec.projective(("X", "L"))
@@ -822,7 +824,7 @@ def test_quotient_top_equals_the_division(data):
      "total_degree 0"),
 ])
 def test_quotient_top_checks_its_arguments_as_divide_exact(dividend, kill, error, message):
-    for method in (CohClass.divide_exact, CohClass.quotient_top):
+    for method in (CohClass.divide_exact, CohClass.quotient_top, one_factor_recipe_top):
         with pytest.raises(error, match=message):
             method(dividend, kill)
 
@@ -869,3 +871,134 @@ def test_quotient_top_builds_no_class(monkeypatch):
     for name in ("__init__", "__mul__", "divide_exact"):
         monkeypatch.setattr(CohClass, name, None)
     assert a.quotient_top(kill) == want
+
+
+# -- the top coefficient of a recipe, from its factors alone -----------------
+
+
+def one_factor_recipe_top(dividend, kill):
+    return recipe_quotient_top([(1, [(dividend, 1)])], kill)
+
+
+def multiplied_out(summands):
+    """The dividend of a recipe, by the ring's own products and sums."""
+    total = None
+    for weight, factors in summands:
+        term = product_of([x ** e for x, e in factors]).scaled(weight)
+        total = term if total is None else total + term
+    return total
+
+
+def l1_norm(x):
+    return sum(sum(map(abs, c.coeffs)) for c in x.terms.values())
+
+
+@st.composite
+def recipe_factors(draw, ambient):
+    """A divisor F + N, or a class of total degree 0..2 with a few terms."""
+    if draw(st.booleans()):
+        return CohClass.divisor(ambient, 1, draw(st.fixed_dictionaries(
+            {name: st.one_of(st.just(ParamPoly()), kernel_poly)
+             for name, trunc in ambient.generators if trunc > 1})))
+    total = draw(st.integers(0, 2))
+    exponent = st.tuples(*(st.integers(0, t - 1) for t in ambient.truncations)).filter(
+        lambda e: sum(e) <= total)
+    return CohClass(ambient, total,
+                    draw(st.dictionaries(exponent, kernel_poly, min_size=1, max_size=3)))
+
+
+@st.composite
+def recipe_ambients(draw):
+    truncs = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    return VarSpec(tuple((f"G{i}", t) for i, t in enumerate(truncs)))
+
+
+@st.composite
+def recipes(draw):
+    """(summands, kill): 1-3 summands over a pool of shared factors, each
+    summand padded by a power of F to one total degree in the series' range."""
+    ambient = draw(recipe_ambients())
+    pool = draw(st.lists(recipe_factors(ambient), min_size=1, max_size=4))
+    bare = draw(st.lists(st.tuples(
+        st.integers(-3, 3),
+        st.lists(st.tuples(st.sampled_from(pool), st.integers(0, 3)), min_size=1, max_size=3)),
+        min_size=1, max_size=3))
+    degrees = [sum(x.total_degree * e for x, e in factors) for _, factors in bare]
+    total = max(max(degrees), sum(ambient.top_exponent()) + 1) + draw(st.integers(0, 1))
+    f = CohClass.divisor(ambient, 1)
+    summands = [(weight, factors + [(f, total - degree)])
+                for (weight, factors), degree in zip(bare, degrees)]
+    kill = CohClass.divisor(ambient, 1, draw(st.fixed_dictionaries(
+        {name: st.one_of(st.just(ParamPoly()), kernel_poly)
+         for name, trunc in ambient.generators if trunc > 1})))
+    return summands, kill
+
+
+@settings(max_examples=200, deadline=None)
+@given(recipes())
+def test_recipe_top_equals_the_series_and_the_division(recipe):
+    summands, kill = recipe
+    dividend = multiplied_out(summands)
+    if dividend.is_zero():
+        with pytest.raises(ValueError, match="zero class"):
+            recipe_quotient_top(summands, kill)
+        return
+    top = recipe_quotient_top(summands, kill)
+    assert top == dividend.quotient_top(kill)
+    assert top == dividend.divide_exact(kill).coefficient(kill.ambient.top_exponent())
+    # the width's bound holds the top and every coefficient of the dividend
+    _, bound = cohring._recipe_bound(summands, kill)
+    assert all(abs(c) <= bound for c in top.coeffs)
+    assert all(abs(c) <= bound for poly in dividend.terms.values() for c in poly.coeffs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_power_bound_holds_the_power(data):
+    ambient = data.draw(recipe_ambients())
+    x = data.draw(recipe_factors(ambient))
+    e = data.draw(st.integers(0, 12))
+    height = sum(ambient.top_exponent())
+    assert cohring._power_bound(x, e, height) >= l1_norm(x ** e)
+
+
+def test_power_bound_of_a_kill_divisor_is_binomial():
+    # (F + 3X)^5 over {X}: 1 + 5*3 + 10*9 = 106 = ||x^5||, where ||x||^5 = 1024
+    ambient = VarSpec.projective(("X",))
+    x = CohClass.divisor(ambient, 1, {"X": 3})
+    assert cohring._power_bound(x, 5, 2) == l1_norm(x ** 5) == 106
+
+
+def test_recipe_top_below_its_range_raises():
+    # the dividend of test_quotient_top_below_its_range_raises, as a recipe
+    kill = divisor(XL, 1, X=ParamPoly((-2, 1)), L=3)
+    q = CohClass(XL, 3, {(0, 0): 1, (1, 1): 1})
+    with pytest.raises(ExactDivisionError, match="total_degree - 1 >= 4"):
+        recipe_quotient_top([(1, [(q, 1), (kill, 1)])], kill)
+    f = CohClass.divisor(XL, 1)
+    lifted = [(1, [(q, 1), (f, 1), (kill, 1)])]
+    assert recipe_quotient_top(lifted, kill) == multiplied_out(lifted).quotient_top(kill)
+
+
+@pytest.mark.parametrize("summands, message", [
+    ([], "at least one summand"),
+    ([(1, [])], "empty product"),
+    ([(1, [(divisor(XL, 1, X=1), -1)])], "negative powers"),
+    ([(1, [(divisor(XL, 1, X=1), 5)]), (1, [(divisor(XL, 1, L=1), 6)])], "total degree 5 and 6"),
+    ([(1, [(divisor(XYL, 1, X=1), 5)])], "ambient mismatch"),
+])
+def test_recipe_top_refuses_malformed_recipes(summands, message):
+    with pytest.raises(ValueError, match=message):
+        recipe_quotient_top(summands, divisor(XL, 1, X=2))
+
+
+def test_recipe_top_builds_no_class(monkeypatch):
+    # packed factors, products and the series: no class, product or division
+    factors = [(divisor(XYL, 1, X=ParamPoly((-k, 1)), Y=k, L=1), 1) for k in range(1, 7)]
+    summands = [(2, factors + [(divisor(XYL, 1, Y=1), 2)]),
+                (-1, factors[:3] + [(divisor(XYL, 1, L=ParamPoly((1, 1))), 5)])]
+    kill = divisor(XYL, 1, X=ParamPoly((-4, 1)), L=-2)
+    want = multiplied_out(summands).divide_exact(kill).coefficient(XYL.top_exponent())
+    for name in ("__init__", "__mul__", "__pow__", "__add__", "divide_exact"):
+        monkeypatch.setattr(CohClass, name, None)
+    assert recipe_quotient_top(summands, kill) == want

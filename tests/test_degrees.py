@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import math
 
 import pytest
 from hypothesis import assume, example, given, strategies as st
@@ -387,3 +388,38 @@ def test_degree_memo_equals_a_cold_build_over_the_query_pools(perfbench):
 def test_degree_memo_is_bounded():
     maxsize = memo.cache_parameters()["maxsize"]
     assert isinstance(maxsize, int) and 0 < maxsize < 10 ** 6
+
+
+# -- kbranch:p,1^j is the single-tangent diagram (0,p+j+1),(p,j),(p+j,0) -------
+
+
+@pytest.mark.parametrize("p", range(2, 7))
+@pytest.mark.parametrize("j", range(1, 5))
+def test_kbranch_p_1j_is_j_factorial_times_its_diagram(p, j):
+    # the cone-kill recipe's degree (the packed executor) against the diagram
+    # product route: the j marked simple tangents are permuted by j!
+    marked = gysin_degree(kbranch_stratum(p, *[1] * j))
+    diagram = stratum_degree(diagram_spec((0, p + j + 1), (p, j), (p + j, 0)))
+    assert marked.aut_applied == math.factorial(j) and diagram.aut_applied == 1
+    assert diagram.route == "diagram product"
+    assert marked.degree == math.factorial(j) * diagram.degree
+
+
+# -- simple types through their linear diagrams, as the CLI prints them ---------
+
+
+@pytest.mark.parametrize("spec, coeffs", [
+    ("diagram:0,4,2,0", (168, -192, 50)),
+    ("diagram:0,4,2,1,3,0", (456, -396, 84)),
+    ("diagram:0,4,3,0", (567, -441, 84)),
+    ("diagram:0,5,1,3,3,0", (2079, -1464, 252)),
+    ("diagram:0,5,3,0", (4032, -2592, 405)),
+    ("diagram:0,5,2,1,3,0", (1596, -1218, 224)),
+], ids=["A3", "D5", "E6", "E7", "E8", "D6"])
+def test_simple_type_degrees_are_pinned(spec, coeffs):
+    # pinned from the class route, not checked against a published table
+    got = stratum_degree(parse_type_spec(spec))
+    assert got.aut_applied == 1 and got.degree == ParamPoly(coeffs)
+    out = io.StringIO()
+    assert main(["degree", "--x", spec], out, io.StringIO()) == 0
+    assert out.getvalue().splitlines()[0] == f"degree: {ParamPoly(coeffs)}"

@@ -370,3 +370,49 @@ def test_a_divided_stratum_is_the_value_of_its_class(build):
     assert hash(build()) == hash(eager) and repr(build()) == repr(eager)
     restored = pickle.loads(pickle.dumps(build()))
     assert restored == eager and restored.kill is None
+
+
+# -- cone-kill strata are recipes: the degree builds no class ------------------
+
+
+@pytest.mark.parametrize("build", [lambda: kbranch_stratum(2, 1, 1),
+                                   lambda: kbranch_stratum(*[1] * 6),
+                                   lambda: node_pair_stratum(SingularitySpec.cusp(5)),
+                                   lambda: node_pair_stratum(SingularitySpec.kbranch(2, 1, 1))],
+                         ids=["kbranch", "kbranch 1^6", "node-pair cusp", "node-pair kbranch"])
+def test_a_recipe_degree_takes_no_class_product(monkeypatch, build):
+    want = build().cls.coefficient(build().ambient.top_exponent())
+
+    def refuse(*args):
+        raise AssertionError("a class product or power was taken")
+
+    monkeypatch.setattr(CohClass, "__mul__", refuse)
+    monkeypatch.setattr(CohClass, "__pow__", refuse)
+    s = build()  # the builder multiplies nothing either
+    assert gysin_degree(s).degree == want
+
+
+def test_node_pair_parts_multiply_out_the_recipe():
+    # one definition: the recursion's right-hand side is the recipe multiplied
+    # out, and the stratum keeps that recipe
+    spec = SingularitySpec.kbranch(2, 1, 1)
+    rhs, kill, ambient, names = node_pair_recursion_parts(spec)
+    s = node_pair_stratum(spec)
+    assert s.dividend == rhs and s.kill == kill and s.ambient == ambient
+    assert names == cone_line_names(3) and len(s.summands) == 3
+    assert [weight for weight, _ in s.summands] == [1, 2, 1]
+
+
+def test_a_recipe_stratum_multiplies_out_once():
+    s = kbranch_stratum(3, 1)
+    assert s.summands is not None and s._dividend is None
+    dividend = s.dividend
+    assert s.dividend is dividend and s.cls * s.kill == dividend
+    assert s.cls is s.cls
+
+
+def test_by_division_is_a_one_factor_recipe():
+    s = kbranch_stratum(2, 2)
+    t = StratumClass.by_division(s.dividend, s.kill, s.aut_order, s.valid_from_d, s.route)
+    assert t.summands == [(1, [(s.dividend, 1)])] and t.dividend is s.dividend
+    assert gysin_degree(t) == gysin_degree(s) and t == s
