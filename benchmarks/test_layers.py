@@ -34,8 +34,7 @@ from bistrata.degrees import _memoised_degree, gysin_degree, reference_kbranch, 
 from bistrata.divisors import incidence_class, kill_tangent_cone_class, omp_conditions_class
 from bistrata.strata import (StratumClass, _memoised_stratum, _two_omp_factors,
                              _two_omp_product, cone_line_names, kbranch_stratum,
-                             node_pair_recursion_parts, node_pair_stratum, stratum_for,
-                             two_omp_stratum)
+                             node_pair_stratum, stratum_for, two_omp_stratum)
 from bistrata.verify import run_suite
 
 XYL = VarSpec.projective(("X", "Y", "L"))
@@ -44,13 +43,14 @@ XYL = VarSpec.projective(("X", "Y", "L"))
 @pytest.fixture(scope="module")
 def node_pair_parts():
     """Dividend and kill divisor of the node-pair recursion for kbranch 1^5,
-    and their quotient, which a ``class`` call divides out.  The dividend is
-    the stratum's recipe multiplied out by class products, as the first read
-    of ``cls`` does.  A degree builds neither: it reads the top coefficient
-    from the recipe (``test_recipe_degree_node_pair``), so strata-heavy
-    neither multiplies out nor divides."""
-    rhs, kill, _, _ = node_pair_recursion_parts(SingularitySpec.kbranch(1, 1, 1, 1, 1))
-    return rhs, kill, rhs.divide_exact(kill)
+    and their quotient, which a ``class`` call divides out, read from
+    ``node_pair_stratum``.  The dividend is the stratum's recipe multiplied
+    out by class products, as the first read of ``cls`` does.  A degree
+    builds neither: it reads the top coefficient from the recipe
+    (``test_recipe_degree_node_pair``), so strata-heavy neither multiplies
+    out nor divides."""
+    s = node_pair_stratum(SingularitySpec.kbranch(1, 1, 1, 1, 1))
+    return s.dividend, s.kill, s.cls
 
 
 def test_parampoly_mul(benchmark):
@@ -109,9 +109,9 @@ def test_stratum_for_cusp(benchmark):
 
 def test_divide_cusp_node_pair(benchmark):
     # the small end of the division: cusp:9 beside a node
-    rhs, kill, _, _ = node_pair_recursion_parts(SingularitySpec.cusp(9))
-    quotient = benchmark(rhs.divide_exact, kill)
-    assert quotient == node_pair_stratum(SingularitySpec.cusp(9)).cls
+    s = node_pair_stratum(SingularitySpec.cusp(9))
+    quotient = benchmark(s.dividend.divide_exact, s.kill)
+    assert quotient == s.cls
 
 
 def test_divide_kbranch_conditions(benchmark):
@@ -159,12 +159,13 @@ def test_gysin_degree(benchmark):
 
 # Gysin extraction by the series: the degree of a cone-kill stratum read from
 # its dividend, without the quotient that ``class`` divides out.  The
-# dividend is a one-factor recipe (``StratumClass.by_division``).
+# dividend is the recipe of one factor (``StratumClass.by_recipe``).
 
 def test_gysin_series_node_pair(benchmark, node_pair_parts):
     # a 411-term dividend in place of the 2,112-term quotient
     rhs, kill, quotient = node_pair_parts
-    s = StratumClass.by_division(rhs, kill, 120, 4, "degeneration recursion via ordinary point")
+    s = StratumClass.by_recipe([(1, [(rhs, 1)])], kill, 120, 4,
+                               "degeneration recursion via ordinary point")
     assert len(rhs.terms) == 411
     got = benchmark(gysin_degree, s)
     assert got.degree == quotient.coefficient(s.ambient.top_exponent())
@@ -173,8 +174,8 @@ def test_gysin_series_node_pair(benchmark, node_pair_parts):
 def test_gysin_series_kbranch_1_9(benchmark):
     # a 57-term dividend in place of the 10,752-term quotient
     recipe = kbranch_stratum(*[1] * 9)
-    s = StratumClass.by_division(recipe.dividend, recipe.kill, recipe.aut_order,
-                                 recipe.valid_from_d, recipe.route)
+    s = StratumClass.by_recipe([(1, [(recipe.dividend, 1)])], recipe.kill, recipe.aut_order,
+                               recipe.valid_from_d, recipe.route)
     assert len(s.dividend.terms) == 57
     got = benchmark(gysin_degree, s)
     assert got.degree == s.aut_order * reference_kbranch([1] * 9)

@@ -38,26 +38,28 @@ addition into the packed row of its product monomial, and each finished
 row is read back into signed w-bit digits and becomes one ParamPoly through
 its trusted constructor.  Each exponent field has a guard bit on top (see
 ``VarSpec._layout``), so once the left factor's keys carry a bias, the
-truncation test of a term pair is one addition and one mask.
+truncation test of a term pair is one addition and one mask.  That loop
+over term pairs is written once (``_accumulate``); the product, the
+division and the packed recipe products all run on it.
 
 Division by a divisor F + N (``CohClass.divide_exact``) runs on the same
-packed integers.  The dividend and N are packed once, at one field width
+packed integers.  The dividend and -N are packed once, at one field width
 taken from a bound on the quotient's coefficients that its docstring
-proves; each visible level of the quotient is then solved with integer
-multiplies and subtractions only, and the quotient is read back once at
-the end.  Packing (``_packed``) and reading back (``_unpacked``) have one
-implementation each, shared by the product and the division.  The quotient
-is checked by multiplying it back through the product kernel.
+proves; each visible level of the quotient is then the packed dividend of
+that level plus the pair loop over the level below times -N, and the
+quotient is read back once at the end.  Packing (``_packed``) and reading
+back (``_unpacked``) have one implementation each, shared by the product
+and the division.  The quotient is checked by multiplying it back through
+the product kernel.
 
-A degree needs one coefficient of a quotient, the top monomial's.
-``CohClass.quotient_top`` reads it from the dividend without dividing:
-where the quotient's top level keeps a power of F, the quotient is the
-finite series sum_j (-N)^j * dividend / F^(j+1), and its top coefficient
-is one packed sum over the dividend's terms (``_series_top``).
-``recipe_quotient_top`` reads it without the dividend too: from a recipe,
-a weighted sum of products of factor classes, it packs every factor once
-at one width, multiplies and sums on packed rows, and applies the same
-series, so no class exists between the factors and the top coefficient.
+A degree needs one coefficient of a quotient, the top monomial's, and it
+has one entry point, ``recipe_quotient_top``.  From a recipe, a weighted
+sum of products of factor classes, it packs every factor once at one
+width, multiplies and sums on packed rows, and reads the top coefficient
+by the kill divisor's series (``_series_top``): where the quotient's top
+level keeps a power of F, the quotient is the finite series
+sum_j (-N)^j * dividend / F^(j+1).  No class exists between the factors and
+the top coefficient; a built dividend is the recipe of one factor.
 """
 
 from __future__ import annotations
@@ -278,32 +280,51 @@ def _unpacked(rows: Iterable[tuple[int, int]], bias: int, w: int) -> dict[int, P
     return out
 
 
+def _accumulate(rows: dict[int, int], left: Iterable[tuple[int, int]], bias: int,
+                right: Sequence[tuple[int, int]], guard: int) -> None:
+    """rows[p1 + bias + p2] += a * b for every pair of a left term (p1, a)
+    and a right term (p2, b) that survives the truncations: the one loop
+    over term pairs.  p1 + bias carries the bias of ``VarSpec._layout``
+    (bias is 0 for left keys that already carry it) and p2 none, so a pair
+    dies iff its packed sum hits a guard bit, and the sum of a surviving
+    pair is its monomial's biased key."""
+    get = rows.get
+    for p1, a in left:
+        p1 += bias
+        for p2, b in right:
+            key = p1 + p2
+            if key & guard:
+                continue  # nilpotent: the monomial dies
+            rows[key] = get(key, 0) + a * b
+
+
 def _packed_product(left: list[tuple[int, int]], right: list[tuple[int, int]],
                     bias: int, guard: int, mask: int = 0,
                     target: int = 0) -> list[tuple[int, int]]:
-    """Product of two packed classes at one width: the pair loop of ``__mul__``.
+    """Product of two packed classes at one width, by ``_accumulate``.
 
     Keys are unbiased on both sides and on the result; a row whose value
     is 0 is dropped.  With a mask, only the monomials whose fields under
     it equal target's are formed.  target holds the top exponent in those
     fields, so no field borrows in target - (k & mask): the right terms
-    that a left key k meets are the ones with those fields.
+    that a left key k meets are the ones with those fields, and the left
+    terms are grouped by the fields they need.  Without a mask every pair
+    is formed, with no grouping: most calls are the full products of a
+    power or a balanced product, where a grouping pass per call costs more
+    than the pairs it would skip.
     """
-    groups: dict[int, list[tuple[int, int]]] = {0: right}
-    if mask:
-        groups = {}
+    rows: dict[int, int] = {}
+    if not mask:
+        _accumulate(rows, left, bias, right, guard)
+    else:
+        groups: dict[int, list[tuple[int, int]]] = {}
         for term in right:
             groups.setdefault(term[0] & mask, []).append(term)
-    rows: dict[int, int] = {}
-    get = rows.get
-    for p1, a in left:
-        part = groups.get(target - (p1 & mask), ())
-        p1 += bias
-        for p2, b in part:
-            key = p1 + p2
-            if key & guard:
-                continue  # nilpotent: the monomial dies
-            rows[key] = get(key, 0) + a * b
+        needs: dict[int, list[tuple[int, int]]] = {}
+        for term in left:
+            needs.setdefault(target - (term[0] & mask), []).append(term)
+        for fields, part in needs.items():
+            _accumulate(rows, part, bias, groups.get(fields, ()), guard)
     return [(key - bias, v) for key, v in rows.items() if v]
 
 
@@ -341,9 +362,9 @@ def _norm(coeffs: Iterable[ParamPoly]) -> int:
 
 
 def _check_division(ambient: VarSpec, total_degree: int, is_zero: bool, b: "CohClass") -> None:
-    """The argument checks of every division by b: ``divide_exact``,
-    ``quotient_top`` and ``recipe_quotient_top``, for a dividend over
-    ambient of the given total degree."""
+    """The argument checks of every division by b, ``divide_exact`` and
+    ``recipe_quotient_top``, for a dividend over ambient of the given total
+    degree."""
     if ambient is not b.ambient and ambient != b.ambient:
         raise ValueError(f"ambient mismatch: {ambient.names} vs {b.ambient.names}")
     if b.total_degree != 1:
@@ -381,13 +402,33 @@ def _series_top(ambient: VarSpec, rows: Iterable[tuple[int, int]], b: "CohClass"
     """Top coefficient of a dividend over b = F + N, by the kill divisor's series.
 
     ``rows`` are the dividend's terms as (unbiased packed key, value at
-    d = 2^w); b is a checked divisor.  The term e contributes
-    rows[e] * (-1)^j * j!/prod(m_g!) * prod(n_g^m_g), with m = top - e and
-    j = |m| (``CohClass.quotient_top`` derives this).  To stay in integers,
-    the generator g contributes n_g^m_g * (t_g - 1)!/m_g!, and the whole
-    sum, which is then D = prod((t_g - 1)!) times the packed top, is
-    divided by D exactly once.  The result is read back at width w, which
-    is exact when every coefficient c of the top has |c| < 2^(w-1).
+    d = 2^w); b is a checked divisor.  Let top be the exponent
+    truncation-1 on every generator and H = |top| its visible level.  When
+    total_degree - 1 >= H (``_series_height``), every visible level of the
+    quotient keeps a non-negative power of F, so F + N is a unit on the
+    quotient's degree and the quotient is the finite series
+
+        dividend / (F + N) = sum_j (-N)^j * dividend / F^(j+1),
+
+    which ends at j = H because N is nilpotent of visible degree 1.  A
+    term e of the dividend reaches the top monomial through j = H - |e|
+    factors of N, with the exponent m = top - e; the g^m coefficient of
+    N^j is the multinomial j!/prod(m_g!) * prod(n_g^m_g), for n_g the
+    coefficient of the generator g in N.  So
+
+        top = sum_e rows[e] * (-1)^j * j!/prod(m_g!) * prod(n_g^m_g).
+
+    To stay in integers, the generator g contributes
+    n_g^m_g * (t_g - 1)!/m_g!, and the whole sum, which is then
+    D = prod((t_g - 1)!) times the packed top, is divided by D exactly once.
+
+    Packing is evaluation at d = 2^w, a ring map, so the packed sum is the
+    image of the true top for every w; the read-back at width w is exact
+    when every coefficient c of the top has |c| < 2^(w-1).  With r the L1
+    norm of N, the L1 norm of the g^m coefficient of N^j is at most r^j
+    (the multinomial sum of the norms is (sum |n_g|)^j), so every |c| is
+    at most sum_e ||dividend[e]|| * r^(H - |e|), with ||dividend[e]|| the
+    L1 norm of the term's coefficient.  ``_recipe_bound`` bounds that sum.
     """
     shifts, field, _, _ = ambient._layout
     top = ambient.top_exponent()
@@ -570,16 +611,9 @@ class CohClass:
         w = (max(map(abs, chain.from_iterable(lcoeffs))).bit_length()
              + max(map(abs, chain.from_iterable(rcoeffs))).bit_length()
              + (n * min(len(lcoeffs), len(rcoeffs))).bit_length() + 1)
-        left = _packed(zip(self._terms, lcoeffs), bias, w)
-        right = _packed(zip(other._terms, rcoeffs), 0, w)
         rows: dict[int, int] = {}
-        get = rows.get
-        for p1, a in left:
-            for p2, b in right:
-                key = p1 + p2
-                if key & guard:
-                    continue  # nilpotent: the monomial dies
-                rows[key] = get(key, 0) + a * b
+        _accumulate(rows, _packed(zip(self._terms, lcoeffs), 0, w), bias,
+                    _packed(zip(other._terms, rcoeffs), 0, w), guard)
         return CohClass(self.ambient, total_degree, _unpacked(rows.items(), bias, w),
                         _packed_keys=True)
 
@@ -640,15 +674,15 @@ class CohClass:
 
         The whole recursion runs on Kronecker-packed integers.  The dividend's
         terms are grouped by level from their packed keys (the level of a key
-        is the sum of its fields), and the dividend and N are packed once at
-        d = 2^w, with keys biased as in ``__mul__`` (a pair dies to the
-        truncations iff its biased packed sum hits a guard bit); each level
-        starts from the packed dividend terms of that level and subtracts one
-        big-integer product per surviving pair of an a_(L-1) term and an N
-        term.  Packing is evaluation at d = 2^w, a ring map, so the packed a_L
-        are exact for every w; w only has to make the single read-back of the
-        quotient exact, that is |c| < 2^(w-1) for every integer coefficient c
-        of every a_L.
+        is the sum of its fields), and the dividend and -N are packed once at
+        d = 2^w, the dividend's keys biased as in ``__mul__`` (a pair dies to
+        the truncations iff its biased packed sum hits a guard bit); each
+        level starts from the packed dividend terms of that level and adds
+        one big-integer product per surviving pair of an a_(L-1) term and a
+        term of -N (``_accumulate``).  Packing is evaluation at d = 2^w, a
+        ring map, so the packed a_L are exact for every w; w only has to make
+        the single read-back of the quotient exact, that is |c| < 2^(w-1)
+        for every integer coefficient c of every a_L.
 
         The bound.  Let r be the L1 norm of N (the sum of |c| over every term
         of N and every power of d), S_L the largest |coefficient| of self at
@@ -686,18 +720,12 @@ class CohClass:
             bound = peak + r * bound
             widest = max(widest, bound)
         w = widest.bit_length() + 1
-        right = _packed(nilpotent, 0, w)
+        minus_n = [(key, -v) for key, v in _packed(nilpotent, 0, w)]
         solved: list[tuple[int, int]] = []
         below: list[tuple[int, int]] = []  # packed a_(L-1)
         for part in levels:
             rows = dict(_packed(part, bias, w))
-            get = rows.get
-            for p1, a in below:
-                for p2, c in right:
-                    key = p1 + p2
-                    if key & guard:
-                        continue  # nilpotent: the monomial dies
-                    rows[key] = get(key, 0) - a * c
+            _accumulate(rows, below, 0, minus_n, guard)  # below is biased
             below = [(key, v) for key, v in rows.items() if v]
             solved += below
         quotient = CohClass(ambient, t_quot, _unpacked(solved, bias, w), _packed_keys=True)
@@ -707,53 +735,6 @@ class CohClass:
         if quotient * b != self:
             raise ExactDivisionError("division left a nonzero remainder")
         return quotient
-
-    def quotient_top(self, b: "CohClass") -> ParamPoly:
-        """Top-monomial coefficient of ``self.divide_exact(b)``, without the quotient.
-
-        b = F + N is checked as ``divide_exact`` checks it.  Let top be the
-        exponent truncation-1 on every generator and H = |top| its visible
-        level.  When total_degree - 1 >= H, every visible level of the
-        quotient keeps a non-negative power of F, so F + N is a unit on the
-        quotient's degree and the quotient is the finite series
-
-            self / (F + N) = sum_j (-N)^j * self / F^(j+1),
-
-        which ends at j = H because N is nilpotent of visible degree 1.
-        A term e of self reaches the top monomial through j = H - |e| factors
-        of N, with the exponent m = top - e; the g^m coefficient of N^j is
-        the multinomial j!/prod(m_g!) * prod(n_g^m_g), for n_g the
-        coefficient of the generator g in N.  So
-
-            top = sum_e self[e] * (-1)^j * j!/prod(m_g!) * prod(n_g^m_g).
-
-        Below that range the series is not the quotient, and this raises
-        ExactDivisionError instead of returning a number.
-
-        The sum runs on Kronecker-packed integers (``_series_top``): self
-        and every n_g are packed at d = 2^w, a ring map, so the packed sum
-        is exact for every w, and w only has to make the read-back of the
-        top exact, |c| < 2^(w-1) for its coefficients c.  With r the L1 norm
-        of N, the L1 norm of the g^m coefficient of N^j is at most r^j (the
-        multinomial sum of the norms is (sum |n_g|)^j), so every |c| is at
-        most the sum over e of |self[e]| * r^(H - |e|), with |self[e]| the
-        L1 norm of the term's coefficient; w is one bit wider than that
-        bound.
-        """
-        _check_division(self.ambient, self.total_degree, self.is_zero(), b)
-        ambient = self.ambient
-        height = _series_height(ambient, self.total_degree)
-        shifts, field, _, _ = ambient._layout
-        terms = [(key, c.coeffs) for key, c in self._terms.items()]
-        norms = [0] * (height + 1)
-        for key, cs in terms:
-            norms[sum([(key >> s) & field for s in shifts])] += sum(map(abs, cs))
-        r = _norm(c for key, c in b._terms.items() if key)
-        bound = 0
-        for norm in norms:  # Horner in r: sum over L of norms[L] * r^(H - L)
-            bound = bound * r + norm
-        w = bound.bit_length() + 1
-        return _series_top(ambient, _packed(terms, 0, w), b, w)
 
     # -- serialization and display ---------------------------------------------
 
@@ -844,13 +825,13 @@ def recipe_quotient_top(summands: Sequence[tuple[int, Sequence[tuple[CohClass, i
     A recipe is a sequence of summands (weight, factors): an int weight and
     a sequence of (class, exponent) pairs over b's ambient.  It stands for
     the dividend sum(weight * prod(class^exponent)), and the result equals
-    ``dividend.quotient_top(b)`` and ``dividend.divide_exact(b)``'s top
-    coefficient.  No class is built in between: each factor is packed
-    once, at d = 2^W for one width W; powers and balanced products run on
-    packed rows with the pair loop of ``__mul__`` (biased left keys, guard
-    mask); the weighted summands are summed in packed form; and the kill
-    divisor's series (``_series_top``, which ``quotient_top`` shares)
-    reads back the top coefficient alone.
+    ``dividend.divide_exact(b)``'s top coefficient; a built dividend is the
+    recipe [(1, [(dividend, 1)])].  No class is built in between: each
+    factor is packed once, at d = 2^W for one width W; powers and balanced
+    products run on packed rows with the pair loop of ``__mul__``
+    (``_accumulate``: biased left keys, guard mask); the weighted summands
+    are summed in packed form; and the kill divisor's series
+    (``_series_top``) reads back the top coefficient alone.
 
     Two steps save work without changing the value.  The factors that every
     summand holds (one class at one exponent) are multiplied once, after the
@@ -878,7 +859,7 @@ def recipe_quotient_top(summands: Sequence[tuple[int, Sequence[tuple[CohClass, i
       ||x^e|| <= ||x||^e.  Hence ||dividend|| <= D, the sum over the
       summands of |weight| times the product of those bounds.
     * With r = ||N|| for b = F + N, every |c| is at most
-      sum_e ||dividend[e]|| r^(H - |e|) (``CohClass.quotient_top``), which
+      sum_e ||dividend[e]|| r^(H - |e|) (``_series_top`` derives it), which
       is at most ||dividend|| * max(1, r)^H <= D * max(1, r)^H.
 
     W is one bit wider than D * max(1, r)^H.  That bound is at least D, so
@@ -886,8 +867,8 @@ def recipe_quotient_top(summands: Sequence[tuple[int, Sequence[tuple[CohClass, i
     keeps a nonzero packed row, and the zero check is exact as well.
 
     The checks are those of ``divide_exact`` (``_check_division``) and the
-    range check of ``quotient_top``: a recipe below the range raises
-    ExactDivisionError.  A factor over another ambient, a negative
+    series' range check (``_series_height``): a recipe below the range
+    raises ExactDivisionError.  A factor over another ambient, a negative
     exponent, a summand without factors, no summand at all, or summands of
     different total degrees raise ValueError.
     """
@@ -937,8 +918,9 @@ def _recipe_bound(summands: Sequence[tuple[int, Sequence[tuple[CohClass, int]]]]
     """(total degree, bound) of a recipe's dividend over b = F + N.
 
     Every coefficient of the top of dividend / b, and of the dividend
-    itself, is at most the bound, D * max(1, r)^H in absolute value;
-    ``recipe_quotient_top`` proves it.  The recipe is validated on the way,
+    itself, is at most the bound, D * max(1, r)^H in absolute value:
+    ``recipe_quotient_top`` proves it from the series bound of
+    ``_series_top``.  The recipe is validated on the way,
     as that function states.
     """
     height = sum(b.ambient.top_exponent())

@@ -29,7 +29,8 @@ is one coefficient of the quotient, which ``recipe_quotient_top`` computes
 from the factors on one Kronecker evaluation, without building the
 dividend or the quotient; every kbranch and node-pair recipe lies in the
 range where the kill divisor's series is the quotient.  Only a read of the
-class multiplies the recipe out and divides.
+class multiplies the recipe out (the stratum's ``dividend``, kept once
+formed) and divides.
 """
 
 from __future__ import annotations
@@ -65,8 +66,9 @@ class StratumClass(Value):
     read of ``cls`` divides that kept dividend with ``divide_exact``,
     multiply-back check included, and keeps the quotient.  Equality,
     hashing, repr and pickling are those of the class, so they read it.
-    Any other stratum holds its class from the start, with ``summands``,
-    ``kill`` and ``dividend`` None.
+    A dividend that is already built is the recipe of one factor,
+    [(1, [(dividend, 1)])].  Any other stratum holds its class from the
+    start, with ``summands``, ``kill`` and ``dividend`` None.
     """
 
     _fields = ("cls", "aut_order", "valid_from_d", "route")
@@ -87,12 +89,6 @@ class StratumClass(Value):
                         ambient=kill.ambient, aut_order=aut_order,
                         valid_from_d=valid_from_d, route=route)
         return stratum
-
-    @classmethod
-    def by_division(cls, dividend: CohClass, kill: CohClass, aut_order: int,
-                    valid_from_d: int, route: str) -> "StratumClass":
-        """The stratum whose class is dividend / kill: a recipe of one factor."""
-        return cls.by_recipe([(1, [(dividend, 1)])], kill, aut_order, valid_from_d, route)
 
     @property
     def dividend(self) -> CohClass | None:
@@ -372,8 +368,7 @@ def _node_pair_recipe(sx: SingularitySpec):
     simple-tangent coincidence, none along multiple-tangent coincidences)
     are established.  The right-hand side is the sum of three summands:
     the degenerate term, 2 * merged * s1, and sum(diagonals) * merged * s2
-    (the last only when a tangent is simple).  Returns (summands, kill,
-    ambient, line_names).
+    (the last only when a tangent is simple).  Returns (summands, kill).
     """
     if sx.kind not in ("cusp", "kbranch"):
         raise ValueError(
@@ -412,32 +407,22 @@ def _node_pair_recipe(sx: SingularitySpec):
         # tangency degree 1 along each simple-tangent coincidence
         diagonals = [diagonal_class(ambient, "L", name, 2) for name in simple_lines]
         summands.append((1, marked + [(sum(diagonals[1:], diagonals[0]), 1), merged] + s2))
-    return summands, kill, ambient, names
-
-
-def node_pair_recursion_parts(sx: SingularitySpec):
-    """Right-hand side and killing divisor of the recursion for (sx, node).
-
-    The right-hand side is the node-pair recipe (``_node_pair_recipe``,
-    which states the supported types) multiplied out.  Returns (rhs, kill,
-    ambient, line_names).
-    """
-    summands, kill, ambient, names = _node_pair_recipe(sx)
-    return _multiplied_out(summands), kill, ambient, names
+    return summands, kill
 
 
 def node_pair_stratum(sx: SingularitySpec) -> StratumClass:
     """Lifted stratum of sx at one point and a node at another, by recursion.
 
     The stratum is the recursion's recipe over the kill divisor
-    (``StratumClass.by_recipe``).  For k cone lines the right-hand side has
+    (``StratumClass.by_recipe``), so the recursion's right-hand side is the
+    stratum's ``dividend``.  For k cone lines the right-hand side has
     total degree M + 5 + k, M = binomial(p+2, 2), and the quotient's top
     monomial has visible level 6 + 2k; M >= k + 2 always holds, so the
     degree is read from the recipe by the kill divisor's series
     (``recipe_quotient_top``), and only a read of ``cls`` multiplies the
     recipe out and divides.
     """
-    summands, kill, _, _ = _node_pair_recipe(sx)
+    summands, kill = _node_pair_recipe(sx)
     aut = _branch_symmetry(sx.mults)
     if sx.mults == (1, 1):
         aut *= 2  # both points are then plain nodes, unordered

@@ -45,7 +45,6 @@ from .strata import (
     StratumClass,
     _diagram_product,
     kbranch_stratum,
-    node_pair_recursion_parts,
     node_pair_stratum,
     two_omp_stratum,
 )
@@ -200,10 +199,9 @@ def recursion_checks() -> list[Check]:
                       stratum_degree(SingularitySpec.cusp(4), node) == gysin_degree(stratum)))
     out.append(_series_check("cusp p=4 beside a node", stratum))
     # round trip: multiply back by the killing divisor and re-solve
-    rhs, kill, _, _ = node_pair_recursion_parts(SingularitySpec.cusp(3))
-    cls = rhs.divide_exact(kill)
+    stratum = node_pair_stratum(SingularitySpec.cusp(3))
     out.append(_check("degeneration division round trip (cls * kill == rhs)",
-                      cls * kill == rhs))
+                      stratum.cls * stratum.kill == stratum.dividend))
     # ordinary point with marked tangents: recursion against the direct product route
     got = stratum_degree(SingularitySpec.kbranch(1, 1, 1), node)
     out.append(_check(

@@ -790,6 +790,12 @@ def test_class_json_writer_edge_cases(stratum):
 # -- the top coefficient of a quotient by the kill divisor's series ----------
 
 
+def one_factor_recipe_top(dividend, kill):
+    """The top coefficient of dividend / kill: a built dividend is the
+    recipe of one factor."""
+    return recipe_quotient_top([(1, [(dividend, 1)])], kill)
+
+
 @st.composite
 def series_ambients(draw):
     truncs = draw(st.lists(st.integers(1, 4), min_size=0, max_size=4))
@@ -810,7 +816,7 @@ def test_quotient_top_equals_the_division(data):
          for name, trunc in ambient.generators if trunc > 1})))
     if a.is_zero():
         return
-    assert a.quotient_top(b) == a.divide_exact(b).coefficient(top)
+    assert one_factor_recipe_top(a, b) == a.divide_exact(b).coefficient(top)
 
 
 @pytest.mark.parametrize("dividend, kill, error, message", [
@@ -824,7 +830,7 @@ def test_quotient_top_equals_the_division(data):
      "total_degree 0"),
 ])
 def test_quotient_top_checks_its_arguments_as_divide_exact(dividend, kill, error, message):
-    for method in (CohClass.divide_exact, CohClass.quotient_top, one_factor_recipe_top):
+    for method in (CohClass.divide_exact, one_factor_recipe_top):
         with pytest.raises(error, match=message):
             method(dividend, kill)
 
@@ -832,12 +838,15 @@ def test_quotient_top_checks_its_arguments_as_divide_exact(dividend, kill, error
 @pytest.mark.parametrize("c", (1, -2, 3, -7))
 def test_quotient_top_at_tight_bound(c):
     # the G^8 coefficient of S*F^9 / (F + c*G) is S*(-c)^8 = S*|c|^8, the
-    # series' bound S*r^8 itself, so a field one bit narrower overflows
+    # one-factor recipe's bound S*r^8 itself, so a field one bit narrower
+    # overflows
     ambient = VarSpec((("G", 9),))
     s = (1 << 100) - 1
     b = CohClass.divisor(ambient, 1, {"G": c})
-    assert CohClass(ambient, 9, {(0,): s}).quotient_top(b).coeffs == (s * abs(c) ** 8,)
-    assert CohClass(ambient, 9, {(0,): -s}).quotient_top(b).coeffs == (-s * abs(c) ** 8,)
+    for sign in (1, -1):
+        dividend = CohClass(ambient, 9, {(0,): sign * s})
+        assert cohring._recipe_bound([(1, [(dividend, 1)])], b) == (9, s * abs(c) ** 8)
+        assert one_factor_recipe_top(dividend, b).coeffs == (sign * s * abs(c) ** 8,)
 
 
 def test_quotient_top_multinomial_by_hand():
@@ -845,7 +854,7 @@ def test_quotient_top_multinomial_by_hand():
     # is (-1)^4 * 4!/(2! 2!) * a^2 b^2 = 6 a^2 b^2
     a, b = ParamPoly((-3, 1)), ParamPoly((2, -1, 1))
     kill = divisor(XL, 1, X=a, L=b)
-    assert CohClass(XL, 5, {(0, 0): 1}).quotient_top(kill) == 6 * a ** 2 * b ** 2
+    assert one_factor_recipe_top(CohClass(XL, 5, {(0, 0): 1}), kill) == 6 * a ** 2 * b ** 2
 
 
 def test_quotient_top_below_its_range_raises():
@@ -857,27 +866,23 @@ def test_quotient_top_below_its_range_raises():
     dividend = q * kill
     assert dividend.divide_exact(kill) == q and q.coefficient((2, 2)).is_zero()
     with pytest.raises(ExactDivisionError, match="total_degree - 1 >= 4"):
-        dividend.quotient_top(kill)
+        one_factor_recipe_top(dividend, kill)
     # one total degree higher the series is the quotient
     lifted = (q * CohClass.divisor(XL, 1)) * kill
-    assert lifted.quotient_top(kill) == lifted.divide_exact(kill).coefficient((2, 2))
+    assert one_factor_recipe_top(lifted, kill) == lifted.divide_exact(kill).coefficient((2, 2))
 
 
 def test_quotient_top_builds_no_class(monkeypatch):
-    # the series reads the dividend's packed terms: no product, no division
+    # the series reads a built dividend's packed terms: no product, no division
     a = product_of([divisor(XYL, 1, X=ParamPoly((-k, 1)), Y=k, L=1) for k in range(1, 9)])
     kill = divisor(XYL, 1, X=ParamPoly((-4, 1)), L=-2)
     want = a.divide_exact(kill).coefficient(XYL.top_exponent())
     for name in ("__init__", "__mul__", "divide_exact"):
         monkeypatch.setattr(CohClass, name, None)
-    assert a.quotient_top(kill) == want
+    assert one_factor_recipe_top(a, kill) == want
 
 
 # -- the top coefficient of a recipe, from its factors alone -----------------
-
-
-def one_factor_recipe_top(dividend, kill):
-    return recipe_quotient_top([(1, [(dividend, 1)])], kill)
 
 
 def multiplied_out(summands):
@@ -944,7 +949,7 @@ def test_recipe_top_equals_the_series_and_the_division(recipe):
             recipe_quotient_top(summands, kill)
         return
     top = recipe_quotient_top(summands, kill)
-    assert top == dividend.quotient_top(kill)
+    assert top == one_factor_recipe_top(dividend, kill)
     assert top == dividend.divide_exact(kill).coefficient(kill.ambient.top_exponent())
     # the width's bound holds the top and every coefficient of the dividend
     _, bound = cohring._recipe_bound(summands, kill)
@@ -977,7 +982,7 @@ def test_recipe_top_below_its_range_raises():
         recipe_quotient_top([(1, [(q, 1), (kill, 1)])], kill)
     f = CohClass.divisor(XL, 1)
     lifted = [(1, [(q, 1), (f, 1), (kill, 1)])]
-    assert recipe_quotient_top(lifted, kill) == multiplied_out(lifted).quotient_top(kill)
+    assert recipe_quotient_top(lifted, kill) == one_factor_recipe_top(multiplied_out(lifted), kill)
 
 
 @pytest.mark.parametrize("summands, message", [

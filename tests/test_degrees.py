@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, strategies as st
@@ -142,12 +143,66 @@ def test_recursion_reproduces_printed_pair_forms():
         assert got.degree == want
     # two interchangeable smooth branches: the printed identity is between
     # symmetry-undivided counts on both sides
-    for p in (2, 3):
+    for p in range(2, 7):
         got = gysin_degree(node_pair_stratum(SingularitySpec.kbranch(p, 1, 1)))
         assert got.aut_applied == 2
         want = (2 * reference_kbranch((p, 1, 1)) * reference_omp(1)
                 + reference_pair_correction("cusp-two-branch-node", p))
         assert got.degree == want
+
+
+def _count(*types):
+    """The curve count of a stratum as exact coefficients in d: the degree
+    over the symmetry order it records."""
+    got = stratum_degree(*types)
+    return [Fraction(c, got.aut_applied) for c in got.degree.coeffs]
+
+
+def _times(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _minus(a, b):
+    n = max(len(a), len(b))
+    out = [x - y for x, y in zip(a + [0] * (n - len(a)), b + [0] * (n - len(b)))]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _normal_form(spec):
+    # kbranch 1^k is omp:k with its k tangents marked
+    spec = spec.canonical()
+    if spec.kind == "kbranch" and set(spec.mults) == {1}:
+        return SingularitySpec.omp(len(spec.mults))
+    return spec
+
+
+NODE = SingularitySpec.omp(2)
+CONNECTED_PAIRS = (
+    [(SingularitySpec.omp(m), SingularitySpec.omp(k)) for m in range(2, 7) for k in range(2, m + 1)]
+    + [(SingularitySpec.cusp(p), NODE) for p in range(2, 8)]
+    + [(SingularitySpec.kbranch(*mults), NODE)
+       for mults in [(1, 1), (1, 1, 1), (2, 1), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1),
+                     (3, 2), (2, 2, 1), (4, 1, 1), (3, 1, 1, 1)]])
+
+
+@pytest.mark.parametrize("a, b", CONNECTED_PAIRS,
+                         ids=[f"{a.describe()}+{b.describe()}" for a, b in CONNECTED_PAIRS])
+def test_two_point_count_splits_off_a_connected_part(a, b):
+    # Kazarian's split: N_AB = N_A N_B + S_AB, and N_AA = N_A^2 / 2 + S_AA for
+    # equal types; the connected part S has degree at most 2 in d, the pair
+    # count degree 4
+    pair = _count(a, b)
+    disconnected = _times(_count(a), _count(b))
+    if _normal_form(a) == _normal_form(b):
+        disconnected = [c / 2 for c in disconnected]
+    assert len(pair) - 1 == 4
+    assert len(_minus(pair, disconnected)) - 1 <= 2
 
 
 def test_smooth_contact_family_diverges_from_printed_row():

@@ -6,7 +6,7 @@ import pytest
 from bistrata import strata
 from bistrata.cli import parse_type_spec
 from bistrata.coeffring import ParamPoly, binomial
-from bistrata.cohring import CohClass, VarSpec
+from bistrata.cohring import CohClass, VarSpec, product_of
 from bistrata.collide import NewtonDiagram, SingularitySpec, collide_omp, cusp_diagram
 from bistrata.degrees import (
     _memoised_degree,
@@ -15,7 +15,7 @@ from bistrata.degrees import (
     reference_two_omp,
     stratum_degree,
 )
-from bistrata.divisors import incidence_class
+from bistrata.divisors import incidence_class, kill_tangent_cone_class
 from bistrata.strata import (
     StratumClass,
     _build_stratum,
@@ -24,7 +24,6 @@ from bistrata.strata import (
     cone_line_names,
     diagram_stratum,
     kbranch_stratum,
-    node_pair_recursion_parts,
     node_pair_stratum,
     omp_stratum,
     stratum_for,
@@ -185,18 +184,17 @@ def test_solve_degeneration_round_trip():
 
 
 def test_recursion_parts_are_consistent():
-    rhs, kill, ambient, names = node_pair_recursion_parts(SingularitySpec.cusp(3))
-    assert names == ("L1",)
-    cls = rhs.divide_exact(kill)
-    assert cls * kill == rhs
     s = node_pair_stratum(SingularitySpec.cusp(3))
+    assert s.ambient.names == ("X", "Y", "L") + cone_line_names(1)
+    cls = s.dividend.divide_exact(s.kill)
+    assert cls * s.kill == s.dividend
     assert s.cls == cls
     assert s.valid_from_d == 6
 
 
 def test_recursion_rejects_unsupported_types():
     with pytest.raises(ValueError):
-        node_pair_recursion_parts(SingularitySpec.omp(3))
+        node_pair_stratum(SingularitySpec.omp(3))
 
 
 def test_stratum_values_are_nonnegative_within_validity():
@@ -393,14 +391,18 @@ def test_a_recipe_degree_takes_no_class_product(monkeypatch, build):
 
 
 def test_node_pair_parts_multiply_out_the_recipe():
-    # one definition: the recursion's right-hand side is the recipe multiplied
-    # out, and the stratum keeps that recipe
+    # the recursion's right-hand side is the stratum's dividend: its recipe
+    # multiplied out, here by products and sums written out term by term
     spec = SingularitySpec.kbranch(2, 1, 1)
-    rhs, kill, ambient, names = node_pair_recursion_parts(spec)
     s = node_pair_stratum(spec)
-    assert s.dividend == rhs and s.kill == kill and s.ambient == ambient
-    assert names == cone_line_names(3) and len(s.summands) == 3
+    names = cone_line_names(3)
+    assert s.ambient.names == ("X", "Y", "L") + names and len(s.summands) == 3
     assert [weight for weight, _ in s.summands] == [1, 2, 1]
+    terms = [product_of([x ** e for x, e in factors]).scaled(weight)
+             for weight, factors in s.summands]
+    assert s.dividend == terms[0] + terms[1] + terms[2]
+    assert s.kill == kill_tangent_cone_class(s.ambient, 4, list(zip(names, (2, 1, 1))))
+    assert s.cls * s.kill == s.dividend
 
 
 def test_a_recipe_stratum_multiplies_out_once():
@@ -409,10 +411,3 @@ def test_a_recipe_stratum_multiplies_out_once():
     dividend = s.dividend
     assert s.dividend is dividend and s.cls * s.kill == dividend
     assert s.cls is s.cls
-
-
-def test_by_division_is_a_one_factor_recipe():
-    s = kbranch_stratum(2, 2)
-    t = StratumClass.by_division(s.dividend, s.kill, s.aut_order, s.valid_from_d, s.route)
-    assert t.summands == [(1, [(s.dividend, 1)])] and t.dividend is s.dividend
-    assert gysin_degree(t) == gysin_degree(s) and t == s

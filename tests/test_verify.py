@@ -49,8 +49,10 @@ def test_warm_suites_build_only_their_fresh_identities(clear_memo, monkeypatch):
         monkeypatch.setattr(verify, name, spy)
     for suite in ("corollary", "interpolation", "recursion"):
         assert all(ok for _, ok, _ in verify.run_suite(suite))
+    # the memo check of cusp:4 and the division round trip of cusp:3
     assert built == [("two_omp_stratum", (6, 3)),
-                     ("node_pair_stratum", (SingularitySpec.cusp(4),))]
+                     ("node_pair_stratum", (SingularitySpec.cusp(4),)),
+                     ("node_pair_stratum", (SingularitySpec.cusp(3),))]
 
 
 def test_verify_fails_on_a_wrong_memo_entry(clear_memo, monkeypatch):
