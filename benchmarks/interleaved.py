@@ -1,0 +1,111 @@
+"""Two source trees timed side by side in one process, round by round.
+
+    python benchmarks/interleaved.py PARENT_SRC CHANGE_SRC [--rounds N]
+
+PARENT_SRC and CHANGE_SRC are the ``src`` directories of two checkouts, for
+example an unpacked ``git archive`` of the parent commit and this tree's
+``src``.  Each tree's ``bistrata`` package is copied into a temporary
+directory under a name of its own (``bistrata_parent``, ``bistrata_change``).
+The package imports itself relatively, so both copies load into this one
+interpreter and share its heap, its caches and the host's speed of the
+moment.  Separate processes, as the ladder (``test_layers.py``) and
+``perfbench/`` run them, spread more from run to run than a change of a few
+percent.
+
+The rows are the warm ``verify`` suites, each run once untimed first (which
+fills the degree memo and the other process-wide memos), and the ladder's
+``ParamPoly`` rows on the ladder's operands.  Every round times each row once
+on each side, and the side that goes first alternates from round to round.
+A sample is the mean time per call over a number of calls fixed per row
+before the first round, so that one sample takes about 20 ms.  For each row
+the script prints each side's median and quartiles, the ratio of the
+medians (change over parent) and the number of rounds the change wins.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib
+import shutil
+import statistics
+import sys
+import tempfile
+import timeit
+from pathlib import Path
+
+SIDES = ("parent", "change")
+SUITES = ("ring", "corollary", "appendix", "recursion", "interpolation")
+SAMPLE_S = 0.02
+
+
+def load(src: Path, side: str, into: Path):
+    """Import the ``bistrata`` package of ``src`` as ``bistrata_<side>``."""
+    name = f"bistrata_{side}"
+    shutil.copytree(src / "bistrata", into / name,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    return (importlib.import_module(f"{name}.verify"),
+            importlib.import_module(f"{name}.coeffring"))
+
+
+def rows(verify, coeffring) -> dict[str, object]:
+    """Row name -> zero-argument call, for one side."""
+    out = {}
+    for suite in SUITES:
+        verify.run_suite(suite)  # warm: fills the memos
+        out[f"verify {suite}"] = lambda _suite=suite: verify.run_suite(_suite)
+    poly = coeffring.ParamPoly
+    a = poly((-66, 81, 12, -36, 9))
+    b = poly((123456789, -987654321, 55555))
+    out["ParamPoly mul"] = lambda: a * b
+    out["ParamPoly add"] = lambda: a + b
+    return out
+
+
+def calls_per_sample(fn) -> int:
+    number = 1
+    while timeit.Timer(fn).timeit(number) < SAMPLE_S and number < 1 << 20:
+        number *= 2
+    return number
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent_src", type=Path)
+    parser.add_argument("change_src", type=Path)
+    parser.add_argument("--rounds", type=int, default=30)
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        sys.path.insert(0, tmp)
+        try:
+            table = {side: rows(*load(src, side, Path(tmp)))
+                     for side, src in zip(SIDES, (args.parent_src, args.change_src))}
+        finally:
+            sys.path.remove(tmp)
+    names = list(table["parent"])
+    number = {name: calls_per_sample(table["parent"][name]) for name in names}
+    samples = {(side, name): [] for side in SIDES for name in names}
+    for r in range(args.rounds):
+        order = SIDES if r % 2 == 0 else SIDES[::-1]
+        for name in names:
+            for side in order:
+                t = timeit.Timer(table[side][name]).timeit(number[name])
+                samples[side, name].append(t / number[name])
+    print(f"{args.rounds} rounds; times per call; median [lower, upper quartile]")
+    for name in names:
+        parent, change = samples["parent", name], samples["change", name]
+        (p1, p2, p3), (c1, c2, c3) = quartiles(parent), quartiles(change)
+        wins = sum(c < p for p, c in zip(parent, change))
+        unit, scale = ("ms", 1e3) if p2 >= 1e-4 else ("us", 1e6)
+        print(f"{name:20s} parent {p2 * scale:9.3f} [{p1 * scale:.3f}, {p3 * scale:.3f}] {unit}"
+              f"  change {c2 * scale:9.3f} [{c1 * scale:.3f}, {c3 * scale:.3f}] {unit}"
+              f"  ratio {c2 / p2:.3f}  change wins {wins}/{args.rounds}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

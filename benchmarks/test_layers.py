@@ -11,6 +11,9 @@ commit, and compare the change with it:
     PYTHONPATH=src python -m pytest benchmarks/test_layers.py --benchmark-autosave
     PYTHONPATH=src python -m pytest benchmarks/test_layers.py --benchmark-compare
 
+Separate runs of the ladder spread more than a change of a few percent;
+``benchmarks/interleaved.py`` times two trees in one process instead.
+
 The rows run from small to large: the small products are the ones a
 per-product set-up cost would slow, the large ones those the product
 kernel is for.  Then come whole calls as a warm process serves them, and
@@ -240,11 +243,14 @@ def test_class_json_main_cold(benchmark):
     assert got == want
 
 
-# Three identity suites as a warm process runs them: ``ring`` multiplies
-# 1000 random triples, ``corollary`` reads its degrees from the memo and
-# builds one stratum fresh, ``appendix`` evaluates the reference catalog.
+# The identity suites as a warm process runs them: ``ring`` multiplies
+# 1000 random triples (drawn once per process), ``corollary`` reads its
+# degrees from the memo and builds one stratum fresh, ``appendix``
+# evaluates the reference catalog, ``recursion`` builds and divides two
+# node pairs fresh, ``interpolation`` recovers two closed forms.
 
-@pytest.mark.parametrize("suite", ["ring", "corollary", "appendix"])
+@pytest.mark.parametrize("suite", ["ring", "corollary", "appendix", "recursion",
+                                   "interpolation"])
 def test_verify_suite_warm(benchmark, suite):
     run_suite(suite)  # fills the degree memo
     checks = benchmark(run_suite, suite)

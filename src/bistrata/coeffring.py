@@ -5,6 +5,13 @@ symbolic curve degree d with arbitrary-precision integer coefficients.  The
 representation is dense (degrees stay small, about 10 at most in practice)
 and canonical: the highest stored coefficient is nonzero unless the
 polynomial is zero.
+
+The public constructor copies, strips and type-checks its input.  The
+ring's own results skip it: ``*`` and ``_stripped`` set the coefficients on
+a bare instance, since they are ints this module computed.  An ``int``
+operand of ``*`` or ``+``, on either side, is combined with the
+coefficients directly, without being made a constant polynomial first;
+``shifted`` runs Horner in d + a on a list of ints.
 """
 
 from __future__ import annotations
@@ -33,17 +40,6 @@ class ParamPoly:
             if not isinstance(c, int):
                 raise TypeError(f"integer coefficients required, got {c!r}")
         self.coeffs: tuple[int, ...] = tuple(cs)
-
-    @classmethod
-    def _trusted(cls, coeffs: Iterable[int]) -> "ParamPoly":
-        """ParamPoly on ints this package computed, top entry nonzero or none.
-
-        For the ring's own results only: no list copy, no zero strip and no
-        type check, which is what the public constructor spends its time on.
-        """
-        poly = object.__new__(cls)
-        poly.coeffs = tuple(coeffs)
-        return poly
 
     # -- constructors ------------------------------------------------------
 
@@ -86,6 +82,12 @@ class ParamPoly:
         raise TypeError(f"cannot combine ParamPoly with {value!r}")
 
     def __add__(self, other) -> "ParamPoly":
+        if other.__class__ is int:
+            if not other:
+                return self
+            out = list(self.coeffs) or [0]
+            out[0] += other
+            return _stripped(out)
         if other.__class__ is not ParamPoly:
             other = self._coerce(other)
         a, b = self.coeffs, other.coeffs
@@ -108,11 +110,17 @@ class ParamPoly:
         return self._coerce(other) + (-self)
 
     def __mul__(self, other) -> "ParamPoly":
+        poly = object.__new__(ParamPoly)
+        if other.__class__ is int:
+            # a nonzero int times a canonical polynomial keeps its top entry nonzero
+            poly.coeffs = tuple([c * other for c in self.coeffs]) if other else ()
+            return poly
         if other.__class__ is not ParamPoly:
             other = self._coerce(other)
         a, b = self.coeffs, other.coeffs
         if not a or not b:
-            return ParamPoly()
+            poly.coeffs = ()
+            return poly
         if len(a) < len(b):
             a, b = b, a
         out = [0] * (len(a) + len(b) - 1)
@@ -122,7 +130,8 @@ class ParamPoly:
             if cb:
                 for j, ca in enumerate(a, i):
                     out[j] += ca * cb
-        return ParamPoly._trusted(out)
+        poly.coeffs = tuple(out)
+        return poly
 
     __rmul__ = __mul__
 
@@ -151,12 +160,15 @@ class ParamPoly:
 
     def shifted(self, a: int) -> "ParamPoly":
         """Return P(d + a), the Taylor shift of the variable by a."""
-        # Horner in (d + a): process coefficients from the top down.
-        out = ParamPoly()
-        shift = ParamPoly((a, 1))
-        for c in reversed(self.coeffs):
-            out = out * shift + ParamPoly.const(c)
-        return out
+        # Horner in (d + a) on a list of ints: pass i is a synthetic division
+        # by (d - a) of entries i.., which leaves in entry i the coefficient
+        # of d^i in P(d + a); the top entry never changes, so none is stripped
+        cs = list(self.coeffs)
+        top = len(cs) - 1
+        for i in range(top):
+            for j in range(top - 1, i - 1, -1):
+                cs[j] += a * cs[j + 1]
+        return _stripped(cs)
 
     # -- serialization and display ------------------------------------------
 
@@ -209,12 +221,15 @@ class ParamPoly:
 def _stripped(coeffs: list[int]) -> ParamPoly:
     """ParamPoly on a list of ints computed from ParamPoly coefficients.
 
-    Of the public constructor's work only the zero strip is needed; the list
-    itself is consumed.
+    For the ring's own results only: of the public constructor's work (a
+    list copy, the zero strip and a type check per entry) only the zero
+    strip is needed, and the list itself is consumed.
     """
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
-    return ParamPoly._trusted(coeffs)
+    poly = object.__new__(ParamPoly)
+    poly.coeffs = tuple(coeffs)
+    return poly
 
 
 def binomial(n: int, k: int) -> int:

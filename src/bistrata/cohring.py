@@ -35,10 +35,10 @@ into a single integer, its value at d = 2^w, with a field width w chosen
 from the operands so that no output coefficient can overflow its field.  A
 surviving pair of input terms then costs one big-integer multiply and one
 addition into the packed row of its product monomial, and each finished
-row is read back into signed w-bit digits and becomes one ParamPoly through
-its trusted constructor.  Each exponent field has a guard bit on top (see
-``VarSpec._layout``), so once the left factor's keys carry a bias, the
-truncation test of a term pair is one addition and one mask.  That loop
+row is read back into signed w-bit digits and becomes one ParamPoly without
+the public constructor's checks.  Each exponent field has a guard bit on
+top (see ``VarSpec._layout``), so once the left factor's keys carry a bias,
+the truncation test of a term pair is one addition and one mask.  That loop
 over term pairs is written once (``_accumulate``); the product, the
 division and the packed recipe products all run on it.
 
@@ -258,10 +258,10 @@ def _unpacked(rows: Iterable[tuple[int, int]], bias: int, w: int) -> dict[int, P
     [-2^(w-1), 2^(w-1)), lowest first, which is exact when every coefficient
     lies in that range; a value of 0 is a cancelled monomial and is dropped.
     The digit loop ends on a nonzero top digit, so each row is a canonical
-    ParamPoly and is built by its trusted constructor; the key only loses
-    its bias.
+    ParamPoly and its coefficients are set without the public constructor's
+    checks; the key only loses its bias.
     """
-    trusted = ParamPoly._trusted
+    new = object.__new__
     mask = (1 << w) - 1
     half = 1 << (w - 1)
     full = 1 << w
@@ -276,7 +276,9 @@ def _unpacked(rows: Iterable[tuple[int, int]], bias: int, w: int) -> dict[int, P
                 c -= full
             row.append(c)
             v = (v - c) >> w
-        out[key - bias] = trusted(row)
+        poly = new(ParamPoly)
+        poly.coeffs = tuple(row)
+        out[key - bias] = poly
     return out
 
 

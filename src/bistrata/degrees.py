@@ -7,7 +7,9 @@ of the symmetry that permutes identical singularity data.  A cone-kill
 stratum gives that coefficient from its recipe, by the kill divisor's
 finite series on packed factors (``recipe_quotient_top``), so a degree
 never multiplies out a dividend or divides a class.  The catalog
-transcribes published closed forms literally in exact integer arithmetic.
+transcribes published closed forms in exact integer arithmetic, as
+coefficients of powers of d - p, and expands each into a polynomial in d by
+the binomial theorem on ints (``_zpoly``), with no polynomial product.
 Several of them carry fractional prefactors that must clear on integer
 inputs: each such coefficient is computed as one integer product and divided
 by the prefactor's denominator once, under an exactness assertion.
@@ -22,7 +24,8 @@ and is stored in neither.  The builders themselves are not memoised.  The
 ``verify`` identities that check a degree read it through
 ``stratum_degree``, as ``degree`` and ``table`` do; two of them compare a
 memoised degree with a fresh build, and the class identities (the cusp's
-diagram chain, the division round trip) call the builders every time.
+diagram chain, the divided classes' top coefficients) call the builders
+every time.
 A one-shot CLI process sees no change.
 """
 
@@ -33,7 +36,7 @@ from collections.abc import Callable, Sequence
 from functools import lru_cache
 
 from ._value import Value
-from .coeffring import InterpolationError, ParamPoly, binomial
+from .coeffring import InterpolationError, ParamPoly, _stripped, binomial
 from .cohring import recipe_quotient_top
 from .collide import NewtonDiagram, SingularitySpec
 from .divisors import incidence_class
@@ -186,12 +189,18 @@ def _ratio(num: int, den: int) -> int:
 
 
 def _zpoly(p: int, *terms: tuple[int, int]) -> ParamPoly:
-    """Polynomial sum(c_k * (d-p)^k) from (k, c_k) pairs."""
-    z = ParamPoly((-p, 1))
-    acc = ParamPoly()
+    """Polynomial sum(c_k * (d-p)^k) from (k, c_k) pairs.
+
+    Expanded in integers by the binomial theorem, c (d-p)^k = sum over j of
+    c binom(k, j) (-p)^(k-j) d^j, so no polynomial is multiplied.
+    """
+    out = [0] * (1 + max(terms)[0])  # the largest k
     for k, c in terms:
-        acc = acc + c * z ** k
-    return acc
+        power = 1  # (-p)^(k-j)
+        for j in range(k, -1, -1):
+            out[j] += c * math.comb(k, j) * power
+            power *= -p
+    return _stripped(out)
 
 
 def reference_omp(p: int) -> ParamPoly:
@@ -227,10 +236,9 @@ def reference_cusp_with_smooth_contact(p: int) -> ParamPoly:
     if p < 3:
         raise ValueError("the type needs p >= 3")
     quad = _ratio(p * (p + 4) * (p - 1) * (2 * p ** 3 + 7 * p ** 2 - 5 * p - 2), 8)
-    # literal transcription: the linear piece carries (d-p)(d-2(p+1))
+    # the printed linear piece carries (d-p)(d-2(p+1)) = z^2 - (p+2) z in z = d-p
     lin = (binomial(p + 2, 2) - 3) * p * p
-    z = ParamPoly((-p, 1))
-    return _zpoly(p, (2, quad)) + lin * z * ParamPoly((-2 * (p + 1), 1))
+    return _zpoly(p, (2, quad + lin), (1, -(p + 2) * lin))
 
 
 def reference_two_omp(p: int, q: int) -> ParamPoly:
@@ -242,30 +250,31 @@ def reference_two_omp(p: int, q: int) -> ParamPoly:
     if not p >= q >= 1:
         raise ValueError(f"need p >= q >= 1, got ({p}, {q})")
     if q == 1:
-        return 9 * binomial(p + 3, 4) * ParamPoly((-p, 1)) ** 3 * ParamPoly((p - 2, 1)) \
-            + _zpoly(p,
-                     (2, _ratio(-3 * binomial(p + 2, 3) * (10 * p * p + 39 * p + 7), 4)),
-                     (1, 3 * binomial(p + 2, 3) * (6 + 5 * p)))
-    if q == 2:
-        return 45 * binomial(p + 3, 4) * ParamPoly((-p, 1)) ** 3 * ParamPoly((p - 4, 1)) \
-            + _zpoly(p,
-                     (2, _ratio(-5 * (p + 1)
-                                * (14 * p ** 4 + 105 * p ** 3 + 147 * p ** 2 + 114 * p - 80), 8)),
-                     (1, 2 * (8 + 3 * p + p * p) * (35 * p * p + 20 * p - 12)),
-                     (0, -6 * (85 * p * p + 45 * p - 28)))
-    if q == 3:
-        return 135 * binomial(p + 3, 4) * ParamPoly((-p, 1)) ** 3 * ParamPoly((p - 6, 1)) \
-            + _zpoly(p,
-                     (2, _ratio(-5 * (54 * p ** 5 + 527 * p ** 4 + 948 * p ** 3
-                                     + 1853 * p ** 2 - 894 * p - 1152), 8)),
-                     (1, 2 * (16 + 3 * p + p * p) * (270 * p * p - 20 * p - 117)),
-                     (0, -14 * (830 * p * p - 105 * p - 348)))
-    raise ValueError(f"no published closed form for q = {q}")
+        lead = 9
+        rest = ((2, _ratio(-3 * binomial(p + 2, 3) * (10 * p * p + 39 * p + 7), 4)),
+                (1, 3 * binomial(p + 2, 3) * (6 + 5 * p)))
+    elif q == 2:
+        lead = 45
+        rest = ((2, _ratio(-5 * (p + 1)
+                           * (14 * p ** 4 + 105 * p ** 3 + 147 * p ** 2 + 114 * p - 80), 8)),
+                (1, 2 * (8 + 3 * p + p * p) * (35 * p * p + 20 * p - 12)),
+                (0, -6 * (85 * p * p + 45 * p - 28)))
+    elif q == 3:
+        lead = 135
+        rest = ((2, _ratio(-5 * (54 * p ** 5 + 527 * p ** 4 + 948 * p ** 3
+                                 + 1853 * p ** 2 - 894 * p - 1152), 8)),
+                (1, 2 * (16 + 3 * p + p * p) * (270 * p * p - 20 * p - 117)),
+                (0, -14 * (830 * p * p - 105 * p - 348)))
+    else:
+        raise ValueError(f"no published closed form for q = {q}")
+    # the printed leading term lead * binom(p+3, 4) * (d-p)^3 (d+p-2q), where
+    # d+p-2q = z + 2(p-q) in z = d-p
+    top = lead * binomial(p + 3, 4)
+    return _zpoly(p, (4, top), (3, 2 * (p - q) * top), *rest)
 
 
 def reference_pair_correction(key: str, p: int) -> ParamPoly:
     """Connected part S of deg = deg(x) deg(node) + S for the listed families."""
-    z = ParamPoly((-p, 1))
     if key == "omp-node":
         return _zpoly(p,
                       (2, _ratio(-3 * binomial(p + 2, 3) * (3 * p + 4)

@@ -1,9 +1,14 @@
+import operator
+
 import pytest
 from hypothesis import given, strategies as st
 
 from bistrata.coeffring import ParamPoly, binomial
+from bistrata.degrees import _zpoly
 
 polys = st.lists(st.integers(-9, 9), min_size=0, max_size=5).map(ParamPoly)
+wide_polys = st.one_of(polys, st.lists(st.integers(), max_size=6).map(ParamPoly))
+ints = st.one_of(st.integers(-9, 9), st.integers())
 
 
 def poly_d_minus(a):
@@ -102,3 +107,60 @@ def test_json_round_trip():
                                        (5, 0, 1), (3, 5, 0), (2, -1, 0)])
 def test_binomial(n, k, value):
     assert binomial(n, k) == value
+
+
+def _assert_canonical(poly):
+    assert type(poly) is ParamPoly and type(poly.coeffs) is tuple
+    assert all(type(c) is int for c in poly.coeffs)
+    assert not poly.coeffs or poly.coeffs[-1] != 0
+
+
+def _degree(x):
+    return x.degree() if isinstance(x, ParamPoly) else 0
+
+
+def _value(x, d0):
+    return x(d0) if isinstance(x, ParamPoly) else x
+
+
+# An oracle outside the ring's own arithmetic: a polynomial of degree at most
+# n is fixed by its values at n + 1 points, and evaluation is Horner alone.
+# The ring axioms are no such oracle: a product that always returns zero
+# satisfies all three, and ``__mul__`` swaps its operands by length, so
+# a * b == b * a compares one computation with itself when the lengths differ.
+@given(st.one_of(st.tuples(wide_polys, st.one_of(wide_polys, ints)),
+                 st.tuples(ints, wide_polys)))
+def test_ring_operations_agree_with_evaluation(operands):
+    a, b = operands
+    for op, bound in ((operator.add, max), (operator.sub, max),
+                      (operator.mul, operator.add)):
+        got = op(a, b)
+        _assert_canonical(got)
+        n = max(bound(_degree(a), _degree(b)), 0)
+        assert got.degree() <= n
+        assert all(got(d0) == op(_value(a, d0), _value(b, d0)) for d0 in range(-1, n + 1))
+
+
+@given(wide_polys, st.integers(-20, 20))
+def test_shifted_agrees_with_evaluation(poly, a):
+    got = poly.shifted(a)
+    _assert_canonical(got)
+    assert got.degree() == poly.degree()
+    assert all(got(d0) == poly(d0 + a) for d0 in range(-1, poly.degree() + 1))
+
+
+def _zpoly_by_powers(p, *terms):
+    # the catalog's expansion as first written, through ParamPoly powers
+    z = ParamPoly((-p, 1))
+    acc = ParamPoly()
+    for k, c in terms:
+        acc = acc + ParamPoly.const(c) * z ** k
+    return acc
+
+
+@given(st.integers(-20, 20),
+       st.lists(st.tuples(st.integers(0, 6), ints), min_size=1, max_size=5))
+def test_zpoly_is_the_power_expansion(p, terms):
+    got = _zpoly(p, *terms)
+    _assert_canonical(got)
+    assert got == _zpoly_by_powers(p, *terms)

@@ -26,6 +26,41 @@ def test_ring_suite_draws_the_randint_stream():
     assert fast.getstate() == reference.getstate()
 
 
+def test_ring_suite_draws_once_per_process(monkeypatch):
+    verify._ring_triples.cache_clear()
+    draws, products = [], []
+    real_draw, real_mul = verify._random_poly, ParamPoly.__mul__
+
+    def counted_draw(rng):
+        draws.append(1)
+        return real_draw(rng)
+
+    def counted_mul(self, other):
+        products.append(1)
+        return real_mul(self, other)
+
+    monkeypatch.setattr(verify, "_random_poly", counted_draw)
+    first = verify.ring_checks()
+    assert len(draws) == 3000
+    # the memo holds the draws in stream order
+    rng = random.Random(20260809)
+    assert verify._ring_triples(1000, 20260809) == tuple(
+        (real_draw(rng), real_draw(rng), real_draw(rng)) for _ in range(1000))
+    draws.clear()
+    monkeypatch.setattr(ParamPoly, "__mul__", counted_mul)
+    second = verify.ring_checks()
+    monkeypatch.setattr(ParamPoly, "__mul__", real_mul)
+    # no draw, yet every triple is multiplied again: 7 products each
+    assert draws == [] and len(products) == 7000
+    assert second == first and all(ok for _, ok, _ in second)
+    # another (triples, seed) draws afresh, and evicts the one entry
+    assert all(ok for _, ok, _ in verify.ring_checks(triples=10, seed=7))
+    assert len(draws) == 30
+    assert verify._ring_triples.cache_info().currsize == 1
+    verify.ring_checks()
+    assert len(draws) == 3030
+
+
 @pytest.fixture
 def clear_memo():
     memo = degrees._memoised_degree
@@ -49,7 +84,8 @@ def test_warm_suites_build_only_their_fresh_identities(clear_memo, monkeypatch):
         monkeypatch.setattr(verify, name, spy)
     for suite in ("corollary", "interpolation", "recursion"):
         assert all(ok for _, ok, _ in verify.run_suite(suite))
-    # the memo check of cusp:4 and the division round trip of cusp:3
+    # the memo check of cusp:4, and cusp:3, whose divided class is compared
+    # with the printed cusp-node row
     assert built == [("two_omp_stratum", (6, 3)),
                      ("node_pair_stratum", (SingularitySpec.cusp(4),)),
                      ("node_pair_stratum", (SingularitySpec.cusp(3),))]
@@ -89,5 +125,5 @@ def test_warm_suites_still_divide(clear_memo, monkeypatch):
     assert ("X", "L1", "L2") in divided and ("X", "L1", "L2", "L3") in divided
     divided.clear()
     assert all(ok for _, ok, _ in verify.run_suite("recursion"))
-    # the fresh cusp:4 beside a node, and the cusp:3 round trip
+    # the fresh cusp:4 beside a node, and the fresh cusp:3 against the printed row
     assert divided == [("X", "Y", "L", "L1")] * 2
