@@ -13,8 +13,11 @@ moment.  Separate processes, as the ladder (``test_layers.py``) and
 percent.
 
 The rows are the warm ``verify`` suites, each run once untimed first (which
-fills the degree memo and the other process-wide memos), and the ladder's
-``ParamPoly`` rows on the ladder's operands.  Every round times each row once
+fills the degree memo and the other process-wide memos), the ladder's
+``ParamPoly`` rows on the ladder's operands, and warm ``cli.main`` calls
+into ``io.StringIO`` (a ``degree`` call in each of its three formats, a
+``collide`` and a ``table``), also run once untimed first, whose time is
+mostly the command line's own per-call cost.  Every round times each row once
 on each side, and the side that goes first alternates from round to round.
 A sample is the mean time per call over a number of calls fixed per row
 before the first round, so that one sample takes about 20 ms.  For each row
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import importlib
+import io
 import shutil
 import statistics
 import sys
@@ -36,6 +40,15 @@ from pathlib import Path
 SIDES = ("parent", "change")
 SUITES = ("ring", "corollary", "appendix", "recursion", "interpolation")
 SAMPLE_S = 0.02
+DEGREE = ["degree", "--x", "cusp:5", "--y", "omp:2", "--d", "12"]
+CLI_CALLS = {
+    "cli degree text": DEGREE,
+    "cli degree json": DEGREE + ["--format", "json"],
+    "cli degree csv": DEGREE + ["--format", "csv"],
+    "cli collide": ["collide", "--x", "omp:4", "--y", "omp:3"],
+    "cli table": ["table", "--family", "two-omp", "--p-range", "1..14", "--q-range", "3..3",
+                  "--d", "40"],
+}
 
 
 def load(src: Path, side: str, into: Path):
@@ -43,11 +56,11 @@ def load(src: Path, side: str, into: Path):
     name = f"bistrata_{side}"
     shutil.copytree(src / "bistrata", into / name,
                     ignore=shutil.ignore_patterns("__pycache__"))
-    return (importlib.import_module(f"{name}.verify"),
-            importlib.import_module(f"{name}.coeffring"))
+    return tuple(importlib.import_module(f"{name}.{module}")
+                 for module in ("verify", "coeffring", "cli"))
 
 
-def rows(verify, coeffring) -> dict[str, object]:
+def rows(verify, coeffring, cli) -> dict[str, object]:
     """Row name -> zero-argument call, for one side."""
     out = {}
     for suite in SUITES:
@@ -58,6 +71,11 @@ def rows(verify, coeffring) -> dict[str, object]:
     b = poly((123456789, -987654321, 55555))
     out["ParamPoly mul"] = lambda: a * b
     out["ParamPoly add"] = lambda: a + b
+    for name, argv in CLI_CALLS.items():
+        call = lambda _argv=argv: cli.main(_argv, io.StringIO(), io.StringIO())
+        if call() != 0:
+            raise RuntimeError(f"{' '.join(argv)} failed")
+        out[name] = call
     return out
 
 

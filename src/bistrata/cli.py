@@ -10,14 +10,22 @@ Verbs:
 Type specs are "kind:ints", e.g. omp:4 (ordinary point of multiplicity 4),
 cusp:3, kbranch:2,1, diagram:0,4,2,1,3,0 (vertex pairs).  Exit codes:
 0 success, 1 domain error, 2 usage error.
+
+``VERBS`` declares every verb's options once.  ``main`` reads a call in
+canonical form (each option spelled in full, at most once, its value the
+next token) straight from that table; ``build_parser`` builds the argparse
+parser from the same table, and argparse is imported only for what the
+table does not accept: ``--help``, abbreviations, ``--opt=value``, repeated
+options, values that start with "-", and every usage error, whose messages
+argparse prints.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import io
 import sys
+from types import SimpleNamespace
 
 from .coeffring import _DECIMAL
 from .collide import NewtonDiagram, SingularitySpec, collide_omp, is_linear, residual_multiplicity
@@ -276,48 +284,111 @@ def cmd_collide(args, out, err) -> int:
     return 0
 
 
+def _format_options(formats: tuple[str, ...]) -> dict[str, dict]:
+    return {"--format": {"choices": formats, "default": formats[0]},
+            "--out": {"metavar": "FILE", "help": "write output to FILE"}}
+
+
+# verb -> (help, options, flags of its mutually exclusive group).  Each
+# option maps its flag to the keyword arguments of argparse's add_argument,
+# in the order --help lists them; the canonical reader interprets action
+# ("store_true" takes no value), type, choices, required and default.
+VERBS = {
+    "degree": ("degree of a stratum", {
+        "--x": {"required": True, "metavar": "SPEC"},
+        "--y": {"metavar": "SPEC"},
+        "--d": {"type": _decimal, "help": "numeric curve degree"},
+        "--symbolic-d": {"action": "store_true", "default": False,
+                         "help": "keep d symbolic (default)"},
+        **_format_options(("text", "json", "csv"))}, ("--d", "--symbolic-d")),
+    "class": ("lifted stratum class", {
+        "--x": {"required": True, "metavar": "SPEC"},
+        "--y": {"metavar": "SPEC"},
+        **_format_options(("text", "json"))}, ()),
+    "table": ("numeric degree tables", {
+        "--family": {"required": True, "choices": tuple(TABLE_FAMILIES)},
+        "--p-range": {"required": True, "metavar": "A..B"},
+        "--q-range": {"metavar": "A..B"},
+        "--d": {"type": _decimal, "required": True,
+                "help": "numeric curve degree (table sizes depend on it)"},
+        **_format_options(("csv", "json"))}, ()),
+    "verify": ("run identity suites", {
+        "--suite": {"default": "all", "choices": (*SUITES, "all")},
+        **_format_options(("text",))}, ()),
+    "collide": ("merge two ordinary points", {
+        "--x": {"required": True, "metavar": "SPEC"},
+        "--y": {"required": True, "metavar": "SPEC"},
+        **_format_options(("text", "json"))}, ()),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """A fresh argparse parser for ``VERBS``; ``argparse`` loads on the first call."""
+    import argparse
     parser = argparse.ArgumentParser(
         prog="bistrata",
         description="Exact degrees and cohomology classes of equisingular "
                     "strata of plane curves with one or two singular points.")
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    def add_common(p, formats=("text", "json", "csv")):
-        p.add_argument("--format", choices=formats, default=formats[0])
-        p.add_argument("--out", metavar="FILE", help="write output to FILE")
-
-    p_degree = sub.add_parser("degree", help="degree of a stratum")
-    p_degree.add_argument("--x", required=True, metavar="SPEC")
-    p_degree.add_argument("--y", metavar="SPEC")
-    group = p_degree.add_mutually_exclusive_group()
-    group.add_argument("--d", type=_decimal, help="numeric curve degree")
-    group.add_argument("--symbolic-d", action="store_true",
-                       help="keep d symbolic (default)")
-    add_common(p_degree)
-
-    p_class = sub.add_parser("class", help="lifted stratum class")
-    p_class.add_argument("--x", required=True, metavar="SPEC")
-    p_class.add_argument("--y", metavar="SPEC")
-    add_common(p_class, formats=("text", "json"))
-
-    p_table = sub.add_parser("table", help="numeric degree tables")
-    p_table.add_argument("--family", required=True, choices=tuple(TABLE_FAMILIES))
-    p_table.add_argument("--p-range", required=True, metavar="A..B")
-    p_table.add_argument("--q-range", metavar="A..B")
-    p_table.add_argument("--d", type=_decimal, required=True,
-                         help="numeric curve degree (table sizes depend on it)")
-    add_common(p_table, formats=("csv", "json"))
-
-    p_verify = sub.add_parser("verify", help="run identity suites")
-    p_verify.add_argument("--suite", default="all", choices=(*SUITES, "all"))
-    add_common(p_verify, formats=("text",))
-
-    p_collide = sub.add_parser("collide", help="merge two ordinary points")
-    p_collide.add_argument("--x", required=True, metavar="SPEC")
-    p_collide.add_argument("--y", required=True, metavar="SPEC")
-    add_common(p_collide, formats=("text", "json"))
+    for verb, (help_text, options, exclusive) in VERBS.items():
+        p_verb = sub.add_parser(verb, help=help_text)
+        group = p_verb.add_mutually_exclusive_group() if exclusive else None
+        for flag, kwargs in options.items():
+            (group if flag in exclusive else p_verb).add_argument(flag, **kwargs)
     return parser
+
+
+def _parse_canonical(argv) -> dict | None:
+    """``vars(build_parser().parse_args(argv))`` for a call in canonical
+    form, read from ``VERBS`` without argparse; None for any other argv.
+
+    Canonical: a verb, then options of that verb, each spelled in full and
+    given at most once, each value option followed by its value.  A value
+    that starts with "-" is declined, since argparse reads it by its
+    negative-number rule, and so is everything argparse would refuse: a
+    value its type or choices reject, a missing required option, both flags
+    of the exclusive group.
+    """
+    if not argv or argv[0] not in VERBS:
+        return None
+    _, options, exclusive = VERBS[argv[0]]
+    given = {}
+    i, n = 1, len(argv)
+    while i < n:
+        flag = argv[i]
+        spec = options.get(flag)
+        if spec is None or flag in given:
+            return None
+        if spec.get("action") == "store_true":
+            given[flag] = True
+            i += 1
+            continue
+        if i + 1 == n or argv[i + 1].startswith("-"):
+            return None
+        value = argv[i + 1]
+        convert = spec.get("type")
+        if convert is not None:
+            try:
+                value = convert(value)
+            except ValueError:
+                return None
+        choices = spec.get("choices")
+        if choices is not None and value not in choices:
+            return None
+        given[flag] = value
+        i += 2
+    if sum(flag in given for flag in exclusive) > 1:
+        return None
+    values = {"verb": argv[0]}
+    for flag, spec in options.items():
+        if flag in given:
+            value = given[flag]
+        elif spec.get("required"):
+            return None
+        else:
+            value = spec.get("default")
+        values[flag[2:].replace("-", "_")] = value
+    return values
 
 
 COMMANDS = {
@@ -328,7 +399,7 @@ COMMANDS = {
     "collide": cmd_collide,
 }
 
-# The parser every main call shares, built on first use.  argparse keeps no
+# The parser every fallback shares, built on first use.  argparse keeps no
 # per-call state on it: each parse_args sets defaults on a fresh namespace.
 _parser: argparse.ArgumentParser | None = None
 
@@ -345,17 +416,24 @@ def main(argv: list[str] | None = None, stdout=None, stderr=None) -> int:
 
     Everything, argparse usage errors and --help included, is written to
     the given streams (default: sys.stdout and sys.stderr at call time).
-    While arguments are parsed sys.stdout and sys.stderr are swapped for
-    them, so threads calling main at once may cross argparse messages.
+    A call in canonical form is read from ``VERBS`` directly.  Any other
+    call falls back to argparse, which loads on the first fallback; while
+    it parses, sys.stdout and sys.stderr are swapped for the given streams,
+    so threads that fall back at once may cross argparse messages.
     """
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
-    parser = _shared_parser()
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse usage errors carry code 2
-        return int(exc.code or 0)
+    if argv is None:
+        argv = sys.argv[1:]
+    values = _parse_canonical(argv)
+    if values is not None:
+        args = SimpleNamespace(**values)
+    else:
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                args = _shared_parser().parse_args(argv)
+        except SystemExit as exc:  # argparse usage errors carry code 2
+            return int(exc.code or 0)
     try:
         if getattr(args, "out", None):
             buffer = io.StringIO()

@@ -1,13 +1,16 @@
 import ast
+import contextlib
 import csv
 import io
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from bistrata import cli, degrees, strata
 from bistrata.cli import build_parser, main, parse_range, parse_type_spec, SpecError
@@ -269,9 +272,9 @@ PACKAGE_MODULES = {"bistrata"} | {f"bistrata.{name}" for name in (
     "verify")}
 STDLIB_MODULES = {
     "__future__", "_bisect", "_collections", "_collections_abc", "_functools", "_operator",
-    "_random", "_sha512", "_sre", "_stat", "argparse", "bisect", "collections",
+    "_random", "_sha512", "_sre", "_stat", "bisect", "collections",
     "collections.abc", "contextlib", "copyreg", "enum", "functools", "genericpath",
-    "gettext", "itertools", "keyword", "math", "operator", "os", "os.path", "posixpath",
+    "itertools", "keyword", "math", "operator", "os", "os.path", "posixpath",
     "random", "re", "re._casefix", "re._compiler", "re._constants", "re._parser", "reprlib",
     "stat", "types", "warnings"}
 
@@ -284,9 +287,10 @@ def test_import_loads_the_package_and_no_new_standard_module():
 
 def test_import_loads_no_module_that_only_some_outputs_use():
     # fractions (with decimal and numbers) only for a non-convex diagram's
-    # message, json and csv only for the formats that print them
+    # message, json and csv only for the formats that print them, argparse
+    # (with gettext) only for --help and calls outside the canonical form
     before, added = _modules_before_and_added_by_import()
-    watched = {"fractions", "decimal", "numbers", "json", "csv"}
+    watched = {"fractions", "decimal", "numbers", "json", "csv", "argparse", "gettext"}
     assert not watched & before
     assert not watched & added
 
@@ -374,6 +378,73 @@ def test_repeated_calls_are_independent(tmp_path, monkeypatch):
     assert forward[6][1] == "" and forward[6][3].startswith("family,p,q,d,degree\n")
     assert forward[12][2] == ("warning: omp p=3: d=3 is below the validity bound d >= 4; "
                               "the value is formal\n")
+
+
+def argparse_reading(parser, argv):
+    """``vars(parser.parse_args(argv))``, or None where argparse exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(parser.parse_args(argv))
+        except SystemExit:
+            return None
+
+
+def check_canonical_reading(parser, argv):
+    got = cli._parse_canonical(argv)
+    # declined, or exactly what argparse reads; never a call argparse refuses
+    assert got is None or got == argparse_reading(parser, argv)
+    return got
+
+
+# every flag, an abbreviation, the --opt=value form and help; values that
+# pass, values a type or choices refuse, an empty one, a negative number and
+# one that argparse reads as an option, not as a value
+OPTION_TOKENS = (*sorted({flag for _, options, _ in cli.VERBS.values() for flag in options}),
+                 "--form", "--x=omp:2", "-h", "--help")
+VALUE_TOKENS = ("omp:3", "cusp:2", "-3", "", "json", "csv", "text", "bogus", "12", "4_0",
+                "omp", "1..3", "ring", "-h")
+
+
+@st.composite
+def argvs(draw):
+    """A verb (or not), its options in any order, each left out one time in
+    four, with a value its choices or type take or any other; and up to two
+    stray options or tokens among them."""
+    head = draw(st.sampled_from((*cli.VERBS, "bogus", "--help")))
+    chunks = []
+    for flag, spec in (cli.VERBS[head][1] if head in cli.VERBS else {}).items():
+        if draw(st.integers(0, 3)) == 0:
+            continue
+        if spec.get("action") == "store_true":
+            chunks.append((flag,))
+            continue
+        good = st.sampled_from(spec.get("choices", ("omp:3", "12")))
+        chunks.append((flag, draw(st.one_of(good, st.sampled_from(VALUE_TOKENS)))))
+    chunks += draw(st.lists(st.one_of(
+        st.tuples(st.sampled_from(OPTION_TOKENS), st.sampled_from(VALUE_TOKENS)),
+        st.tuples(st.sampled_from(OPTION_TOKENS + VALUE_TOKENS))), max_size=2))
+    return [head] + [token for chunk in draw(st.permutations(chunks)) for token in chunk]
+
+
+@given(argvs())
+@example(["degree", "--x", "-h"])
+@example(["degree", "--x", "omp:3", "--d", "-3"])
+@example(["degree", "--x", "omp:3", "--x", "omp:2"])
+@example(["class", "--x=omp:2", "--form", "json"])
+def test_canonical_reading_agrees_with_argparse(argv):
+    check_canonical_reading(build_parser(), argv)
+
+
+def test_benchmark_calls_are_canonical_and_read_as_argparse_reads(perfbench):
+    perfbench("checks")
+    workloads = perfbench("workloads")
+    parser = build_parser()
+    streams = [list(query.argv) for seed in range(3)
+               for query in workloads.query_stream(random.Random(seed))]
+    for argv in streams + workloads.table_argvs():
+        assert check_canonical_reading(parser, argv) is not None
+    declined = [argv for argv in MIXED_CALLS if check_canonical_reading(parser, argv) is None]
+    assert declined == [("degree", "--x", "omp:3", "--symbolic-d", "--d", "4")]
 
 
 def test_smooth_kbranch_is_a_usage_error():

@@ -804,7 +804,7 @@ def series_ambients(draw):
 
 @settings(max_examples=200)
 @given(st.data())
-def test_quotient_top_equals_the_division(data):
+def test_one_factor_recipe_top_equals_the_division(data):
     # every dividend whose quotient keeps a power of F at the top level
     ambient = data.draw(series_ambients())
     top = ambient.top_exponent()
@@ -829,14 +829,14 @@ def test_quotient_top_equals_the_division(data):
     (CohClass.one(VarSpec(())), CohClass.divisor(VarSpec(()), 1), ExactDivisionError,
      "total_degree 0"),
 ])
-def test_quotient_top_checks_its_arguments_as_divide_exact(dividend, kill, error, message):
+def test_one_factor_recipe_top_checks_its_arguments_as_divide_exact(dividend, kill, error, message):
     for method in (CohClass.divide_exact, one_factor_recipe_top):
         with pytest.raises(error, match=message):
             method(dividend, kill)
 
 
 @pytest.mark.parametrize("c", (1, -2, 3, -7))
-def test_quotient_top_at_tight_bound(c):
+def test_one_factor_recipe_top_at_tight_bound(c):
     # the G^8 coefficient of S*F^9 / (F + c*G) is S*(-c)^8 = S*|c|^8, the
     # one-factor recipe's bound S*r^8 itself, so a field one bit narrower
     # overflows
@@ -849,7 +849,7 @@ def test_quotient_top_at_tight_bound(c):
         assert one_factor_recipe_top(dividend, b).coeffs == (sign * s * abs(c) ** 8,)
 
 
-def test_quotient_top_multinomial_by_hand():
+def test_one_factor_recipe_top_multinomial_by_hand():
     # F^5 / (F + aX + bL) over {X, L}: the X^2 L^2 coefficient of the series
     # is (-1)^4 * 4!/(2! 2!) * a^2 b^2 = 6 a^2 b^2
     a, b = ParamPoly((-3, 1)), ParamPoly((2, -1, 1))
@@ -857,7 +857,7 @@ def test_quotient_top_multinomial_by_hand():
     assert one_factor_recipe_top(CohClass(XL, 5, {(0, 0): 1}), kill) == 6 * a ** 2 * b ** 2
 
 
-def test_quotient_top_below_its_range_raises():
+def test_one_factor_recipe_top_below_its_range_raises():
     # q = F^3 + X*L*F has no top monomial X^2 L^2: its level 4 exceeds the
     # total degree 3.  divide_exact recovers q, whose top coefficient reads
     # 0, but q * kill is below the series' range and yields no number.
@@ -872,7 +872,7 @@ def test_quotient_top_below_its_range_raises():
     assert one_factor_recipe_top(lifted, kill) == lifted.divide_exact(kill).coefficient((2, 2))
 
 
-def test_quotient_top_builds_no_class(monkeypatch):
+def test_one_factor_recipe_top_builds_no_class(monkeypatch):
     # the series reads a built dividend's packed terms: no product, no division
     a = product_of([divisor(XYL, 1, X=ParamPoly((-k, 1)), Y=k, L=1) for k in range(1, 9)])
     kill = divisor(XYL, 1, X=ParamPoly((-4, 1)), L=-2)
@@ -975,7 +975,7 @@ def test_power_bound_of_a_kill_divisor_is_binomial():
 
 
 def test_recipe_top_below_its_range_raises():
-    # the dividend of test_quotient_top_below_its_range_raises, as a recipe
+    # the dividend of test_one_factor_recipe_top_below_its_range_raises, as a recipe
     kill = divisor(XL, 1, X=ParamPoly((-2, 1)), L=3)
     q = CohClass(XL, 3, {(0, 0): 1, (1, 1): 1})
     with pytest.raises(ExactDivisionError, match="total_degree - 1 >= 4"):
