@@ -14,7 +14,11 @@ percent.
 
 The rows are the warm ``verify`` suites, each run once untimed first (which
 fills the degree memo and the other process-wide memos), the ladder's
-``ParamPoly`` rows on the ladder's operands, and warm ``cli.main`` calls
+``ParamPoly`` rows on the ladder's operands, the six stratum builds of
+perfbench's strata-heavy pass and ``two_omp_stratum(6, 3)`` (each a fresh
+build: the builders keep no memo, so these rows time the divisor classes,
+the recipes and, for the two-point product, the ring's products), and warm
+``cli.main`` calls
 into ``io.StringIO`` (a ``degree`` call in each of its three formats, a
 ``collide`` and a ``table``), also run once untimed first, whose time is
 mostly the command line's own per-call cost.  Every round times each row once
@@ -41,6 +45,15 @@ SIDES = ("parent", "change")
 SUITES = ("ring", "corollary", "appendix", "recursion", "interpolation")
 SAMPLE_S = 0.02
 DEGREE = ["degree", "--x", "cusp:5", "--y", "omp:2", "--d", "12"]
+# the builds of perfbench's strata-heavy pass: (row, builder, singularity kind, multiplicities)
+BUILDS = (
+    ("build kbranch:1,1,1,1,1", "kbranch", "kbranch", (1, 1, 1, 1, 1)),
+    ("build kbranch:3,1,1,1,1", "kbranch", "kbranch", (3, 1, 1, 1, 1)),
+    ("build kbranch:2,2,1,1", "kbranch", "kbranch", (2, 2, 1, 1)),
+    ("build kbranch:1,1,1,1,1+omp:2", "node_pair", "kbranch", (1, 1, 1, 1, 1)),
+    ("build kbranch:2,2,1+omp:2", "node_pair", "kbranch", (2, 2, 1)),
+    ("build cusp:9+omp:2", "node_pair", "cusp", (9,)),
+)
 CLI_CALLS = {
     "cli degree text": DEGREE,
     "cli degree json": DEGREE + ["--format", "json"],
@@ -57,10 +70,17 @@ def load(src: Path, side: str, into: Path):
     shutil.copytree(src / "bistrata", into / name,
                     ignore=shutil.ignore_patterns("__pycache__"))
     return tuple(importlib.import_module(f"{name}.{module}")
-                 for module in ("verify", "coeffring", "cli"))
+                 for module in ("verify", "coeffring", "cli", "strata", "collide"))
 
 
-def rows(verify, coeffring, cli) -> dict[str, object]:
+def build(strata, collide, builder: str, kind: str, mults: tuple[int, ...]):
+    """One fresh stratum, built as perfbench's strata-heavy child builds it."""
+    if builder == "kbranch":
+        return strata.kbranch_stratum(*mults)
+    return strata.node_pair_stratum(getattr(collide.SingularitySpec, kind)(*mults))
+
+
+def rows(verify, coeffring, cli, strata, collide) -> dict[str, object]:
     """Row name -> zero-argument call, for one side."""
     out = {}
     for suite in SUITES:
@@ -71,6 +91,9 @@ def rows(verify, coeffring, cli) -> dict[str, object]:
     b = poly((123456789, -987654321, 55555))
     out["ParamPoly mul"] = lambda: a * b
     out["ParamPoly add"] = lambda: a + b
+    for name, *job in BUILDS:
+        out[name] = lambda _job=job: build(strata, collide, *_job)
+    out["build two_omp_stratum(6, 3)"] = lambda: strata.two_omp_stratum(6, 3)
     for name, argv in CLI_CALLS.items():
         call = lambda _argv=argv: cli.main(_argv, io.StringIO(), io.StringIO())
         if call() != 0:
@@ -119,7 +142,7 @@ def main(argv: list[str] | None = None) -> int:
         (p1, p2, p3), (c1, c2, c3) = quartiles(parent), quartiles(change)
         wins = sum(c < p for p, c in zip(parent, change))
         unit, scale = ("ms", 1e3) if p2 >= 1e-4 else ("us", 1e6)
-        print(f"{name:20s} parent {p2 * scale:9.3f} [{p1 * scale:.3f}, {p3 * scale:.3f}] {unit}"
+        print(f"{name:30s} parent {p2 * scale:9.3f} [{p1 * scale:.3f}, {p3 * scale:.3f}] {unit}"
               f"  change {c2 * scale:9.3f} [{c1 * scale:.3f}, {c3 * scale:.3f}] {unit}"
               f"  ratio {c2 / p2:.3f}  change wins {wins}/{args.rounds}")
     return 0

@@ -6,10 +6,12 @@ representation is dense (degrees stay small, about 10 at most in practice)
 and canonical: the highest stored coefficient is nonzero unless the
 polynomial is zero.
 
-The public constructor copies, strips and type-checks its input.  The
-ring's own results skip it: ``*`` and ``_stripped`` set the coefficients on
-a bare instance, since they are ints this module computed.  An ``int``
-operand of ``*`` or ``+``, on either side, is combined with the
+The public constructor copies, type-checks and strips its input; a bool
+is not an integer coefficient and raises TypeError there, in ``const`` and
+as an operand.  The ring's own results skip the constructor: ``*`` and
+``_stripped`` set the coefficients on a bare instance, since they are ints
+this module computed, and ``const`` of an exact ``int`` does the same.  An
+``int`` operand of ``*`` or ``+``, on either side, is combined with the
 coefficients directly, without being made a constant polynomial first;
 ``shifted`` runs Horner in d + a on a list of ints.
 """
@@ -34,18 +36,22 @@ class ParamPoly:
 
     def __init__(self, coeffs: Iterable[int] = ()):
         cs = list(coeffs)
+        for c in cs:
+            if c.__class__ is not int and (not isinstance(c, int) or isinstance(c, bool)):
+                raise TypeError(f"integer coefficients required, got {c!r}")
         while cs and cs[-1] == 0:
             cs.pop()
-        for c in cs:
-            if not isinstance(c, int):
-                raise TypeError(f"integer coefficients required, got {c!r}")
         self.coeffs: tuple[int, ...] = tuple(cs)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def const(cls, c: int) -> "ParamPoly":
-        return cls((c,))
+        if c.__class__ is not int:
+            return cls((c,))  # checked: a bool or a non-int raises TypeError
+        poly = object.__new__(cls)
+        poly.coeffs = (c,) if c else ()
+        return poly
 
     # -- basic queries -----------------------------------------------------
 
@@ -62,10 +68,10 @@ class ParamPoly:
     def __eq__(self, other: object) -> bool:
         if other.__class__ is ParamPoly:
             return self.coeffs == other.coeffs
-        if isinstance(other, int):
+        if isinstance(other, int) and not isinstance(other, bool):
             other = ParamPoly.const(other)
         if not isinstance(other, ParamPoly):
-            return NotImplemented
+            return NotImplemented  # a bool included: it is no coefficient
         return self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
@@ -78,7 +84,7 @@ class ParamPoly:
         if isinstance(value, ParamPoly):
             return value
         if isinstance(value, int):
-            return ParamPoly.const(value)
+            return ParamPoly.const(value)  # a bool raises TypeError there
         raise TypeError(f"cannot combine ParamPoly with {value!r}")
 
     def __add__(self, other) -> "ParamPoly":

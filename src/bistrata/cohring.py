@@ -18,6 +18,10 @@ results from terms that are already valid, so they skip that check: a sum,
 negation or scaling keeps each exponent, and a product adds exponents, drops
 every monomial that reaches a truncation, and adds the total degrees, so
 sum(exp) <= total_degree holds again.  They only drop zero coefficients.
+The package's own divisor builders (``divisors``, and the linear factors of
+``strata``) are ring-built data too: they write packed keys directly, with
+int or ParamPoly coefficients, through ``CohClass.divisor`` or
+``_packed_keys=True``, and only the names they are given are checked.
 
 Terms are stored keyed by the packed exponent: generator i owns one
 bit field of an integer key, at the shift ``VarSpec._layout`` gives it, and
@@ -232,10 +236,12 @@ def _json_array_field(obj, key: str, what: str) -> Sequence:
 
 
 def _coerce_poly(value) -> ParamPoly:
-    if isinstance(value, ParamPoly):
+    if value.__class__ is ParamPoly:
         return value
     if isinstance(value, int):
-        return ParamPoly.const(value)
+        return ParamPoly.const(value)  # no check for an exact int; a bool raises
+    if isinstance(value, ParamPoly):
+        return value
     raise TypeError(f"coefficient must be ParamPoly or int, not {value!r}")
 
 
@@ -530,7 +536,7 @@ class CohClass:
         # packed keys directly: F's is 0, a generator's is 1 at its field's shift
         f_poly = _coerce_poly(f_part)
         terms = {0: f_poly} if f_poly else {}
-        for name, coeff in dict(parts).items():
+        for name, coeff in (parts if parts.__class__ is dict else dict(parts)).items():
             poly = _coerce_poly(coeff)
             if poly:
                 i = ambient._indices.get(name)
@@ -572,9 +578,10 @@ class CohClass:
 
     def scaled(self, factor) -> "CohClass":
         """Multiply every coefficient by an integer or ParamPoly (degree 0 in F)."""
-        poly = _coerce_poly(factor)
+        if factor.__class__ is not int:  # ParamPoly * int needs no constant polynomial
+            factor = _coerce_poly(factor)
         # Z[d] has no zero divisors: a product of nonzero coefficients is nonzero
-        terms = {key: c * poly for key, c in self._terms.items()} if poly else {}
+        terms = {key: c * factor for key, c in self._terms.items()} if factor else {}
         return CohClass(self.ambient, self.total_degree, terms, _packed_keys=True)
 
     def __mul__(self, other: "CohClass") -> "CohClass":

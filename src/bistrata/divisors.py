@@ -12,6 +12,15 @@ any ambient that contains the generators it mentions.  Conventions:
   is fixed by requiring the chain of kills on the cusp diagram, times the
   incidence of the point with its tangent, to equal the cone-kill division
   of ``kbranch_stratum(p)``; a ``verify`` identity and a test pin this.
+
+The builders make ring data from the package's own integers, so no term
+goes through ``CohClass``'s validating constructor: each divisor passes
+plain ints (and ``ParamPoly`` only for a coefficient linear in d) to
+``CohClass.divisor``, and ``diagonal_class`` writes its packed keys
+directly, one ``1 << shift`` field per generator, skipping every monomial
+at a truncation.  A generator paired with itself (``incidence_class`` of a
+point and a line of one name, ``diagonal_class`` of one point twice) is
+refused with ValueError rather than collapsed into a plausible class.
 """
 
 from __future__ import annotations
@@ -28,6 +37,8 @@ def incidence_class(ambient: VarSpec, point: str, line: str) -> CohClass:
         idx = ambient.index(name)  # raises KeyError for unknown generators
         if ambient.truncations[idx] != 3:
             raise ValueError(f"generator {name} must have truncation 3")
+    if point == line:
+        raise ValueError(f"the point and the line must be two generators, got {point!r} twice")
     return CohClass.divisor(ambient, 0, {point: 1, line: 1})
 
 
@@ -41,16 +52,14 @@ def diagonal_class(ambient: VarSpec, a: str, b: str, n: int) -> CohClass:
     if n < 1:
         raise ValueError("ambient dimension must be >= 1")
     ia, ib = ambient.index(a), ambient.index(b)
-    truncs = ambient.truncations
-    terms = {}
-    for i in range(n + 1):
-        exp = [0] * len(truncs)
-        exp[ia] += n - i
-        exp[ib] += i
-        if any(e >= t for e, t in zip(exp, truncs)):
-            continue
-        terms[tuple(exp)] = ParamPoly.const(1)
-    return CohClass(ambient, n, terms)
+    if ia == ib:
+        raise ValueError(f"the two points must be two generators, got {a!r} twice")
+    ta, tb = ambient.truncations[ia], ambient.truncations[ib]
+    sa, sb = ambient._layout[0][ia], ambient._layout[0][ib]
+    one = ParamPoly.const(1)
+    # a^(n-i) * b^i has packed key (n-i) << sa | i << sb and visible level n
+    terms = {(n - i) << sa | i << sb: one for i in range(n + 1) if n - i < ta and i < tb}
+    return CohClass(ambient, n, terms, _packed_keys=True)
 
 
 def exceptional_class(ambient: VarSpec, x: str = "X", y: str = "Y", line: str = "L") -> CohClass:
@@ -71,7 +80,7 @@ def monomial_kill_class(ambient: VarSpec, a: int, b: int,
         raise ValueError("exponents must be non-negative")
     return CohClass.divisor(ambient, 1, {
         point: ParamPoly((-b - 2 * a, 1)),
-        line: ParamPoly.const(a - b),
+        line: a - b,
     })
 
 
@@ -86,9 +95,9 @@ def kill_tangent_cone_class(ambient: VarSpec, p: int,
     total = sum(m for _, m in cone)
     if total != p:
         raise ValueError(f"tangent cone multiplicities sum to {total}, expected {p}")
-    parts: dict[str, ParamPoly] = {point: ParamPoly((-p, 1))}
+    parts: dict[str, ParamPoly | int] = {point: ParamPoly((-p, 1))}
     for name, mult in cone:
-        parts[name] = parts.get(name, ParamPoly()) - ParamPoly.const(mult)
+        parts[name] = parts.get(name, 0) - mult
     return CohClass.divisor(ambient, 1, parts)
 
 

@@ -224,12 +224,8 @@ def _two_omp_linear_factors(ambient: VarSpec, p: int, q: int) -> list[CohClass]:
     factors = []
     for i in range(q + 1):
         for j in range(q - i + 1):
-            linear = CohClass.divisor(ambient, 1, {
-                "Y": ParamPoly((-i - j, 1)),
-                "X": ParamPoly.const(i),
-                "L": ParamPoly.const(-j),
-            })
-            factors.append(linear - exceptional.scaled(p + 1 + i - j))
+            linear = CohClass.divisor(ambient, 1, {"Y": ParamPoly((-i - j, 1)), "X": i, "L": -j})
+            factors.append(linear + exceptional.scaled(j - i - p - 1))
     return factors
 
 

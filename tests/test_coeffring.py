@@ -21,6 +21,32 @@ def test_canonical_form_trims_trailing_zeros():
     assert ParamPoly().degree() == -1
 
 
+def test_const_is_canonical():
+    for c in (0, 1, -7, 3 ** 90):
+        assert ParamPoly.const(c).coeffs == ParamPoly([c]).coeffs
+        assert type(ParamPoly.const(c).coeffs) is tuple
+    assert ParamPoly.const(0).is_zero()
+
+
+def test_bool_is_no_coefficient():
+    # bool is an int subclass, but a bool coefficient would serialise as
+    # "True", which from_json refuses
+    a = ParamPoly([1, 2])
+    for build in (lambda: ParamPoly([1, True]), lambda: ParamPoly([False]),
+                  lambda: ParamPoly.const(True), lambda: ParamPoly.const(False),
+                  lambda: ParamPoly._coerce(True)):
+        with pytest.raises(TypeError):
+            build()
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(TypeError):
+            op(a, True)
+        with pytest.raises(TypeError):
+            op(False, a)
+    assert a.__eq__(True) is NotImplemented
+    assert ParamPoly.const(1) != True  # noqa: E712
+    assert ParamPoly.const(1) == 1 and ParamPoly() == 0
+
+
 def test_binomial_square():
     # (d-1)*(d-1) = d^2 - 2d + 1
     assert poly_d_minus(1) * poly_d_minus(1) == ParamPoly([1, -2, 1])

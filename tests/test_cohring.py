@@ -76,6 +76,20 @@ def test_divisor_refuses_generators_it_cannot_hold():
     assert divisor(xt, 1, T=0) == CohClass(xt, 1, {(0, 0): 1})
 
 
+def test_bool_coefficients_are_refused():
+    # a bool would print as 1 but write "True" to JSON, which from_json refuses
+    for build in (lambda: divisor(XL, True, X=True), lambda: divisor(XL, 1, X=True),
+                  lambda: CohClass(XL, 1, {(1, 0): False}), lambda: gen(XL, "X").scaled(True)):
+        with pytest.raises(TypeError):
+            build()
+    # an int subclass that is not a bool is still an int
+    class Count(int):
+        pass
+
+    assert divisor(XL, Count(1), X=Count(2)) == divisor(XL, 1, X=2)
+    assert gen(XL, "X").scaled(Count(3)) == divisor(XL, 0, X=3)
+
+
 def test_reduced_form_is_enforced():
     with pytest.raises(ValueError):
         CohClass(XL, 3, {(3, 0): ParamPoly.const(1)})
@@ -304,7 +318,13 @@ def test_divide_exact_round_trip(a, b):
 
 
 def assert_revalidates(c):
-    assert all(not coeff.is_zero() for coeff in c.terms.values())
+    """No zero coefficient, every coefficient a canonical ParamPoly of ints
+    (a tuple whose top entry is nonzero), and the class passes the public
+    constructor unchanged."""
+    for coeff in c.terms.values():
+        assert type(coeff) is ParamPoly and type(coeff.coeffs) is tuple
+        assert coeff.coeffs and coeff.coeffs[-1] != 0
+        assert all(type(x) is int for x in coeff.coeffs)
     assert CohClass(c.ambient, c.total_degree, c.terms) == c
 
 
