@@ -17,12 +17,15 @@ fills the degree memo and the other process-wide memos), the ladder's
 ``ParamPoly`` rows on the ladder's operands, the six stratum builds of
 perfbench's strata-heavy pass and ``two_omp_stratum(6, 3)`` (each a fresh
 build: the builders keep no memo, so these rows time the divisor classes,
-the recipes and, for the two-point product, the ring's products), and warm
-``cli.main`` calls
-into ``io.StringIO`` (a ``degree`` call in each of its three formats, a
-``collide`` and a ``table``), also run once untimed first, whose time is
-mostly the command line's own per-call cost.  Every round times each row once
-on each side, and the side that goes first alternates from round to round.
+the recipes and, for the two-point product, the ring's products), fresh
+degrees of the product strata (``omp:2..11``, ``cusp:2..16``, the
+queries-mix diagrams and the 77 two-omp cells of ``table --p-range 1..14
+--q-range 1..7``, each read past the degree memo, through the function it
+wraps), and warm ``cli.main`` calls into ``io.StringIO`` (a ``degree`` call
+in each of its three formats, a ``collide`` and a ``table``), also run once
+untimed first, whose time is mostly the command line's own per-call cost.
+Every round times each row once on each side, and the side that goes first
+alternates from round to round.
 A sample is the mean time per call over a number of calls fixed per row
 before the first round, so that one sample takes about 20 ms.  For each row
 the script prints each side's median and quartiles, the ratio of the
@@ -54,6 +57,15 @@ BUILDS = (
     ("build kbranch:2,2,1+omp:2", "node_pair", "kbranch", (2, 2, 1)),
     ("build cusp:9+omp:2", "node_pair", "cusp", (9,)),
 )
+# fresh degrees of product strata: (row, type pairs as ``cli.parse_type_spec`` spells them)
+FRESH = (
+    ("fresh degree omp:2..11", [(f"omp:{m}", None) for m in range(2, 12)]),
+    ("fresh degree cusp:2..16", [(f"cusp:{p}", None) for p in range(2, 17)]),
+    ("fresh degree 5 diagrams",
+     [(f"diagram:{d}", None) for d in ("0,3,2,0", "0,4,2,0", "0,4,3,0", "0,5,4,0", "0,6,5,0")]),
+    ("fresh degree two-omp 77 cells",
+     [(f"omp:{p + 1}", f"omp:{q + 1}") for q in range(1, 8) for p in range(q, 15)]),
+)
 CLI_CALLS = {
     "cli degree text": DEGREE,
     "cli degree json": DEGREE + ["--format", "json"],
@@ -70,7 +82,7 @@ def load(src: Path, side: str, into: Path):
     shutil.copytree(src / "bistrata", into / name,
                     ignore=shutil.ignore_patterns("__pycache__"))
     return tuple(importlib.import_module(f"{name}.{module}")
-                 for module in ("verify", "coeffring", "cli", "strata", "collide"))
+                 for module in ("verify", "coeffring", "cli", "strata", "collide", "degrees"))
 
 
 def build(strata, collide, builder: str, kind: str, mults: tuple[int, ...]):
@@ -80,7 +92,17 @@ def build(strata, collide, builder: str, kind: str, mults: tuple[int, ...]):
     return strata.node_pair_stratum(getattr(collide.SingularitySpec, kind)(*mults))
 
 
-def rows(verify, coeffring, cli, strata, collide) -> dict[str, object]:
+def fresh_degrees(cli, strata, degrees, specs):
+    """A call that reads the degree of every type pair in specs past the
+    degree memo: the memoised function's own body, on each pair put in
+    dispatch order once, outside the call."""
+    fresh = degrees._memoised_degree.__wrapped__
+    pairs = [strata._dispatch_order(cli.parse_type_spec(x),
+                                    cli.parse_type_spec(y) if y else None) for x, y in specs]
+    return lambda: [fresh(*pair) for pair in pairs]
+
+
+def rows(verify, coeffring, cli, strata, collide, degrees) -> dict[str, object]:
     """Row name -> zero-argument call, for one side."""
     out = {}
     for suite in SUITES:
@@ -94,6 +116,8 @@ def rows(verify, coeffring, cli, strata, collide) -> dict[str, object]:
     for name, *job in BUILDS:
         out[name] = lambda _job=job: build(strata, collide, *_job)
     out["build two_omp_stratum(6, 3)"] = lambda: strata.two_omp_stratum(6, 3)
+    for name, specs in FRESH:
+        out[name] = fresh_degrees(cli, strata, degrees, specs)
     for name, argv in CLI_CALLS.items():
         call = lambda _argv=argv: cli.main(_argv, io.StringIO(), io.StringIO())
         if call() != 0:

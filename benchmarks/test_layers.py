@@ -36,8 +36,8 @@ from bistrata.collide import SingularitySpec
 from bistrata.degrees import _memoised_degree, gysin_degree, reference_kbranch, stratum_degree
 from bistrata.divisors import incidence_class, kill_tangent_cone_class, omp_conditions_class
 from bistrata.strata import (StratumClass, _memoised_stratum, _two_omp_factors,
-                             _two_omp_product, cone_line_names, kbranch_stratum,
-                             node_pair_stratum, stratum_for, two_omp_stratum)
+                             cone_line_names, kbranch_stratum, node_pair_stratum,
+                             stratum_for, two_omp_stratum)
 from bistrata.verify import run_suite
 
 XYL = VarSpec.projective(("X", "Y", "L"))
@@ -84,8 +84,8 @@ def test_class_times_divisor(benchmark, node_pair_parts):
 
 
 def test_general_product(benchmark):
-    a = _two_omp_product(XYL, 3, 1)
-    b = _two_omp_product(XYL, 4, 2)
+    a = product_of(_two_omp_factors(XYL, 3, 1))
+    b = product_of(_two_omp_factors(XYL, 4, 2))
     assert len(a.terms) == len(b.terms) == 21
     assert benchmark(a.__mul__, b).total_degree == a.total_degree + b.total_degree
 
@@ -99,12 +99,13 @@ def test_power(benchmark):
 def test_product_of(benchmark):
     factors = _two_omp_factors(XYL, 6, 3)
     assert len(factors) == 13
-    assert benchmark(product_of, factors) == _two_omp_product(XYL, 6, 3)
+    assert benchmark(product_of, factors) == two_omp_stratum(6, 3).cls
 
 
 def test_stratum_for_cusp(benchmark):
-    # a single cusp:9 built through the dispatch: 45 condition factors and
-    # 9 vertex kills over {X, L}; the stratum memo is cleared before each call
+    # a single cusp:9 built through the dispatch: a recipe of the condition
+    # factor and 9 vertex kills over {X, L}, with no product; the stratum memo
+    # is cleared before each call
     s = benchmark.pedantic(stratum_for, args=(SingularitySpec.cusp(9),),
                            setup=_memoised_stratum.cache_clear, rounds=100, warmup_rounds=1)
     assert s.cls.total_degree == 45 + 9 and s.valid_from_d == 10

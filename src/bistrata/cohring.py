@@ -56,14 +56,17 @@ back (``_unpacked``) have one implementation each, shared by the product
 and the division.  The quotient is checked by multiplying it back through
 the product kernel.
 
-A degree needs one coefficient of a quotient, the top monomial's, and it
-has one entry point, ``recipe_quotient_top``.  From a recipe, a weighted
-sum of products of factor classes, it packs every factor once at one
-width, multiplies and sums on packed rows, and reads the top coefficient
-by the kill divisor's series (``_series_top``): where the quotient's top
-level keeps a power of F, the quotient is the finite series
-sum_j (-N)^j * dividend / F^(j+1).  No class exists between the factors and
-the top coefficient; a built dividend is the recipe of one factor.
+A degree needs one coefficient, the top monomial's, of a quotient or of a
+product, and it has one entry point, ``recipe_quotient_top``.  From a
+recipe, a weighted sum of products of factor classes, it packs every
+factor once at one width and multiplies and sums on packed rows.  With a
+kill divisor it reads the top coefficient of the quotient by the
+divisor's series (``_series_top``): where the quotient's top level keeps a
+power of F, the quotient is the finite series
+sum_j (-N)^j * dividend / F^(j+1).  Without one, the recipe is a product
+and its last packed product forms the top term alone.  No class exists
+between the factors and the top coefficient; a built class is the recipe
+of one factor.
 """
 
 from __future__ import annotations
@@ -828,25 +831,29 @@ class CohClass:
 
 
 def recipe_quotient_top(summands: Sequence[tuple[int, Sequence[tuple[CohClass, int]]]],
-                        b: CohClass) -> ParamPoly:
+                        b: CohClass | None) -> ParamPoly:
     """Top-monomial coefficient of a recipe divided by b, from its factors alone.
 
     A recipe is a sequence of summands (weight, factors): an int weight and
-    a sequence of (class, exponent) pairs over b's ambient.  It stands for
-    the dividend sum(weight * prod(class^exponent)), and the result equals
-    ``dividend.divide_exact(b)``'s top coefficient; a built dividend is the
-    recipe [(1, [(dividend, 1)])].  No class is built in between: each
-    factor is packed once, at d = 2^W for one width W; powers and balanced
-    products run on packed rows with the pair loop of ``__mul__``
-    (``_accumulate``: biased left keys, guard mask); the weighted summands
-    are summed in packed form; and the kill divisor's series
-    (``_series_top``) reads back the top coefficient alone.
+    a sequence of (class, exponent) pairs over one ambient, b's when b is
+    given.  It stands for the dividend sum(weight * prod(class^exponent)),
+    and the result equals ``dividend.divide_exact(b)``'s top coefficient; a
+    built dividend is the recipe [(1, [(dividend, 1)])].  With b None there
+    is no division: the result is the top coefficient of the dividend
+    itself, the degree of a stratum that is a product.  No class is built
+    in between: each factor is packed once, at d = 2^W for one width W;
+    powers and balanced products run on packed rows with the pair loop of
+    ``__mul__`` (``_accumulate``: biased left keys, guard mask); the
+    weighted summands are summed in packed form; and the kill divisor's
+    series (``_series_top``) reads back the top coefficient alone, or with
+    b None the last product's one top row is read back.
 
     Two steps save work without changing the value.  The factors that every
     summand holds (one class at one exponent) are multiplied once, after the
     sum: sum_s w_s * C * P_s = C * sum_s w_s * P_s.  And that last product
     forms only the terms that can reach the top, those with the top
-    exponent in every generator that b's nilpotent part lacks.
+    exponent in every generator that b's nilpotent part lacks; with b None
+    every generator counts as lacking, so it forms the top term alone.
 
     Why it is exact.  Packing is evaluation at d = 2^W, a ring map from
     Z[d][g]/(g^t) to Z[g]/(g^t), so every packed power, product and sum is
@@ -873,17 +880,21 @@ def recipe_quotient_top(summands: Sequence[tuple[int, Sequence[tuple[CohClass, i
 
     W is one bit wider than D * max(1, r)^H.  That bound is at least D, so
     it bounds every coefficient of the dividend too: a nonzero dividend
-    keeps a nonzero packed row, and the zero check is exact as well.
+    keeps a nonzero packed row, and the zero check is exact as well.  With
+    b None the result is a coefficient of the dividend, so W is one bit
+    wider than D.
 
     The checks are those of ``divide_exact`` (``_check_division``) and the
     series' range check (``_series_height``): a recipe below the range
     raises ExactDivisionError.  A factor over another ambient, a negative
     exponent, a summand without factors, no summand at all, or summands of
-    different total degrees raise ValueError.
+    different total degrees raise ValueError.  With b None only these
+    recipe checks apply: a zero dividend, or one below the top monomial's
+    level, has the top coefficient 0.
     """
-    ambient = b.ambient
-    _, _, bias, guard = ambient._layout
     total_degree, bound = _recipe_bound(summands, b)
+    ambient = summands[0][1][0][0].ambient if b is None else b.ambient
+    shifts, field, bias, guard = ambient._layout
     w = bound.bit_length() + 1
 
     rests = [(weight, list(factors)) for weight, factors in summands]
@@ -912,8 +923,12 @@ def recipe_quotient_top(summands: Sequence[tuple[int, Sequence[tuple[CohClass, i
             rows[key] = get(key, 0) + weight * v
     weighted = [(key, v) for key, v in rows.items() if v]
     common = _packed_product_of([power(x, e) for x, e in shared], bias, guard)
+    top_key = sum(map(lshift, ambient.top_exponent(), shifts))
+    if b is None:
+        mask = sum(field << s for s in shifts)
+        top = _packed_product(weighted, common, bias, guard, mask, top_key)
+        return _unpacked(top, 0, w).get(top_key, ParamPoly())
     mask = _absent_fields(ambient, b)
-    top_key = sum(map(lshift, ambient.top_exponent(), ambient._layout[0]))
     dividend = _packed_product(weighted, common, bias, guard, mask, top_key & mask)
     # the zero check needs the whole product only when no top term is left
     is_zero = not dividend and not _packed_product(weighted, common, bias, guard)
@@ -923,26 +938,28 @@ def recipe_quotient_top(summands: Sequence[tuple[int, Sequence[tuple[CohClass, i
 
 
 def _recipe_bound(summands: Sequence[tuple[int, Sequence[tuple[CohClass, int]]]],
-                  b: CohClass) -> tuple[int, int]:
+                  b: CohClass | None) -> tuple[int, int]:
     """(total degree, bound) of a recipe's dividend over b = F + N.
 
     Every coefficient of the top of dividend / b, and of the dividend
     itself, is at most the bound, D * max(1, r)^H in absolute value:
     ``recipe_quotient_top`` proves it from the series bound of
-    ``_series_top``.  The recipe is validated on the way,
-    as that function states.
+    ``_series_top``.  With b None the bound is D.  The recipe is validated
+    on the way, as that function states; with b None its factors must share
+    the first factor's ambient.
     """
-    height = sum(b.ambient.top_exponent())
     if not summands:
         raise ValueError("a recipe needs at least one summand")
+    if not all(factors for _, factors in summands):
+        raise ValueError("empty product has no ambient to live in")
+    anchor = summands[0][1][0][0] if b is None else b
+    height = sum(anchor.ambient.top_exponent())
     total_degree = None
     dividend_bound = 0
     for weight, factors in summands:
-        if not factors:
-            raise ValueError("empty product has no ambient to live in")
         degree, bound = 0, abs(weight)
         for x, e in factors:
-            x._require_same_ambient(b)
+            x._require_same_ambient(anchor)
             if e < 0:
                 raise ValueError("negative powers are not defined")
             degree += e * x.total_degree
@@ -953,6 +970,8 @@ def _recipe_bound(summands: Sequence[tuple[int, Sequence[tuple[CohClass, int]]]]
             raise ValueError(
                 f"cannot add classes of total degree {total_degree} and {degree}")
         dividend_bound += bound
+    if b is None:
+        return total_degree, dividend_bound
     r = _norm(c for key, c in b._terms.items() if key)
     return total_degree, dividend_bound * max(1, r) ** height
 

@@ -3,10 +3,11 @@ reference-formula catalog.
 
 The degree of a stratum is the coefficient of the top monomial in the
 auxiliary generators (exponent truncation-1 on each), divided by the order
-of the symmetry that permutes identical singularity data.  A cone-kill
-stratum gives that coefficient from its recipe, by the kill divisor's
-finite series on packed factors (``recipe_quotient_top``), so a degree
-never multiplies out a dividend or divides a class.  The catalog
+of the symmetry that permutes identical singularity data.  Every stratum
+gives that coefficient from its recipe on packed factors
+(``recipe_quotient_top``): a product stratum as the top term of its last
+packed product, a cone-kill stratum by the kill divisor's finite series.
+So a degree never multiplies out a dividend or divides a class.  The catalog
 transcribes published closed forms in exact integer arithmetic, as
 coefficients of powers of d - p, and expands each into a polynomial in d by
 the binomial theorem on ints (``_zpoly``), with no polynomial product.
@@ -84,15 +85,13 @@ class DegreeResult(Value):
 def gysin_degree(s: StratumClass) -> DegreeResult:
     """Top-monomial coefficient of a lifted stratum, with its symmetry divisor.
 
-    A cone-kill stratum gives it from its recipe, by the kill divisor's
-    finite series on packed factors (``recipe_quotient_top``), so neither
-    its dividend nor its class is built here; any other stratum gives its
-    class's top coefficient.
+    Every stratum gives it from its recipe on packed factors
+    (``recipe_quotient_top``): the top of the product, or by the kill
+    divisor's finite series when there is one.  Neither its dividend nor
+    its class is built here; a stratum built from a class gives that
+    class's top coefficient, as the recipe of one factor.
     """
-    if s.kill is not None:
-        raw = recipe_quotient_top(s.summands, s.kill)
-    else:
-        raw = s.cls.coefficient(s.ambient.top_exponent())
+    raw = recipe_quotient_top(s.summands, s.kill)
     return DegreeResult(raw, s.aut_order, s.valid_from_d, s.route)
 
 
@@ -101,9 +100,10 @@ def stratum_degree(sx: SingularitySpec, sy: SingularitySpec | None = None) -> De
 
     The stratum is built by the dispatch of ``stratum_for``, with the same
     supported types and pairs, but not through its memo.  A single cusp or
-    diagram stratum comes bare of the
-    point-on-tangent incidence, which is multiplied in here.  Results are
-    memoised per process (see the module docstring); errors are not.
+    diagram stratum comes bare of the point-on-tangent incidence, which is
+    added here to its recipe as one more factor, so no class product is
+    taken.  Results are memoised per process (see the module docstring);
+    errors are not.
     """
     return _memoised_degree(*_dispatch_order(sx, sy))
 
@@ -115,8 +115,10 @@ def _memoised_degree(sx: SingularitySpec, sy: SingularitySpec | None) -> DegreeR
     """``stratum_degree`` of types already in ``_dispatch_order``."""
     s = _build_stratum(sx, sy)
     if sy is None and sx.kind in ("cusp", "diagram"):
-        s = StratumClass(s.cls * incidence_class(s.ambient, "X", "L"),
-                         s.aut_order, s.valid_from_d, s.route)
+        incidence = (incidence_class(s.ambient, "X", "L"), 1)
+        s = StratumClass.by_recipe([(weight, factors + [incidence])
+                                    for weight, factors in s.summands],
+                                   s.kill, s.aut_order, s.valid_from_d, s.route)
     return gysin_degree(s)
 
 
@@ -141,9 +143,6 @@ class ClosedForm(Value):
         for i, row in enumerate(self.grid):
             acc = acc + binomial(p0 - self.p_base, i) * ParamPoly(row)
         return acc.shifted(-p0)  # substitute z = d - p0
-
-    def p_degree(self) -> int:
-        return len(self.grid) - 1
 
 
 def closed_form_in_p(family: Callable[[int], ParamPoly],
@@ -333,16 +332,14 @@ def reference_pair_correction(key: str, p: int) -> ParamPoly:
 class ReferenceFormula(Value):
     """A literal transcription of a published degree, with its parameter domain.
 
-    ``evaluate`` maps (p, q) to the polynomial in d, ``validity`` maps
-    (p, q) to the least d the formula holds for.
+    ``evaluate`` maps (p, q) to the polynomial in d.
     """
 
-    __slots__ = _fields = ("key", "evaluate", "p_min", "uses_q", "validity")
+    __slots__ = _fields = ("key", "evaluate", "p_min", "uses_q")
 
     def __init__(self, key: str, evaluate: Callable[[int, int], ParamPoly], p_min: int,
-                 uses_q: bool, validity: Callable[[int, int], int]):
-        self._assign(key=key, evaluate=evaluate, p_min=p_min, uses_q=uses_q,
-                     validity=validity)
+                 uses_q: bool):
+        self._assign(key=key, evaluate=evaluate, p_min=p_min, uses_q=uses_q)
 
     def domain(self, p_max: int, q_max: int):
         for p in range(self.p_min, p_max + 1):
@@ -358,52 +355,47 @@ def _node_deg() -> ParamPoly:
 
 
 REFERENCE_FORMULAS: tuple[ReferenceFormula, ...] = (
-    ReferenceFormula("omp", lambda p, q: reference_omp(p), 1, False,
-                     lambda p, q: p + 1),
-    ReferenceFormula("kbranch-pair", lambda p, q: reference_kbranch((p, q)), 1, True,
-                     lambda p, q: SingularitySpec.kbranch(p, q).determinacy_order),
+    ReferenceFormula("omp", lambda p, q: reference_omp(p), 1, False),
+    ReferenceFormula("kbranch-pair", lambda p, q: reference_kbranch((p, q)), 1, True),
     ReferenceFormula("smooth-contact", lambda p, q: reference_cusp_with_smooth_contact(p),
-                     3, False, lambda p, q: p + 2),
-    ReferenceFormula("two-omp-q1", lambda p, q: reference_two_omp(p, 1), 1, False,
-                     lambda p, q: p + 3),
-    ReferenceFormula("two-omp-q2", lambda p, q: reference_two_omp(p, 2), 2, False,
-                     lambda p, q: p + 4),
-    ReferenceFormula("two-omp-q3", lambda p, q: reference_two_omp(p, 3), 3, False,
-                     lambda p, q: p + 5),
+                     3, False),
+    ReferenceFormula("two-omp-q1", lambda p, q: reference_two_omp(p, 1), 1, False),
+    ReferenceFormula("two-omp-q2", lambda p, q: reference_two_omp(p, 2), 2, False),
+    ReferenceFormula("two-omp-q3", lambda p, q: reference_two_omp(p, 3), 3, False),
     ReferenceFormula("omp-node",
                      lambda p, q: reference_omp(p) * _node_deg()
                      + reference_pair_correction("omp-node", p),
-                     1, False, lambda p, q: p + 3),
+                     1, False),
     ReferenceFormula("omp-triple",
                      lambda p, q: reference_omp(p) * reference_omp(2)
                      + reference_pair_correction("omp-triple", p),
-                     2, False, lambda p, q: p + 4),
+                     2, False),
     ReferenceFormula("omp-quadruple",
                      lambda p, q: reference_omp(p) * reference_omp(3)
                      + reference_pair_correction("omp-quadruple", p),
-                     3, False, lambda p, q: p + 5),
+                     3, False),
     ReferenceFormula("cusp-node",
                      lambda p, q: reference_kbranch((p,)) * _node_deg()
                      + reference_pair_correction("cusp-node", p),
-                     2, False, lambda p, q: p + 3),
+                     2, False),
     ReferenceFormula("cusp-branch-node",
                      lambda p, q: reference_kbranch((p, 1)) * _node_deg()
                      + reference_pair_correction("cusp-branch-node", p),
-                     2, False, lambda p, q: p + 4),
+                     2, False),
     # this family's printed identity relates symmetry-undivided degrees on
     # both sides (the two smooth branches are interchangeable, order 2)
     ReferenceFormula("cusp-two-branch-node",
                      lambda p, q: 2 * reference_kbranch((p, 1, 1)) * _node_deg()
                      + reference_pair_correction("cusp-two-branch-node", p),
-                     2, False, lambda p, q: p + 5),
+                     2, False),
     ReferenceFormula("smooth-contact-node",
                      lambda p, q: reference_cusp_with_smooth_contact(p) * _node_deg()
                      + reference_pair_correction("smooth-contact-node", p),
-                     3, False, lambda p, q: p + 4),
+                     3, False),
     ReferenceFormula("tacnodal-pair-node",
                      lambda p, q: (reference_tacnodal_pair(p) * _node_deg()
                                    + reference_pair_correction("tacnodal-pair-node", p)),
-                     3, False, lambda p, q: p + 4),
+                     3, False),
 )
 
 

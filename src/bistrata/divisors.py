@@ -18,9 +18,12 @@ goes through ``CohClass``'s validating constructor: each divisor passes
 plain ints (and ``ParamPoly`` only for a coefficient linear in d) to
 ``CohClass.divisor``, and ``diagonal_class`` writes its packed keys
 directly, one ``1 << shift`` field per generator, skipping every monomial
-at a truncation.  A generator paired with itself (``incidence_class`` of a
-point and a line of one name, ``diagonal_class`` of one point twice) is
-refused with ValueError rather than collapsed into a plausible class.
+at a truncation.  Every builder that names several generators needs them
+distinct, and refuses a name given twice with ValueError rather than
+collapse it into a plausible wrong class: a point and a line of one name
+(``incidence_class``, ``monomial_kill_class``), one point twice
+(``diagonal_class``, ``exceptional_class``), and a cone line given twice
+or named as the point (``kill_tangent_cone_class``).
 """
 
 from __future__ import annotations
@@ -64,6 +67,9 @@ def diagonal_class(ambient: VarSpec, a: str, b: str, n: int) -> CohClass:
 
 def exceptional_class(ambient: VarSpec, x: str = "X", y: str = "Y", line: str = "L") -> CohClass:
     """Exceptional divisor of the blowup of the point pair space along its diagonal."""
+    if len({x, y, line}) != 3:
+        raise ValueError(
+            f"the two points and the line must be three generators, got {[x, y, line]}")
     return CohClass.divisor(ambient, 0, {x: 1, y: 1, line: -1})
 
 
@@ -78,6 +84,8 @@ def monomial_kill_class(ambient: VarSpec, a: int, b: int,
     """
     if a < 0 or b < 0:
         raise ValueError("exponents must be non-negative")
+    if point == line:
+        raise ValueError(f"the point and the line must be two generators, got {point!r} twice")
     return CohClass.divisor(ambient, 1, {
         point: ParamPoly((-b - 2 * a, 1)),
         line: a - b,
@@ -90,14 +98,19 @@ def kill_tangent_cone_class(ambient: VarSpec, p: int,
     """Divisor raising the multiplicity from p to p+1.
 
     ``cone`` lists the tangent lines with their multiplicities; these must
-    sum to p.  The class is F + (d-p)*point - sum(p_i * L_i).
+    sum to p, and the lines and the point must be distinct generators.  The
+    class is F + (d-p)*point - sum(p_i * L_i).
     """
     total = sum(m for _, m in cone)
     if total != p:
         raise ValueError(f"tangent cone multiplicities sum to {total}, expected {p}")
+    names = [point] + [name for name, _ in cone]
+    if len(set(names)) != len(names):
+        raise ValueError(
+            f"the point and the cone lines must be {len(names)} generators, got {names}")
     parts: dict[str, ParamPoly | int] = {point: ParamPoly((-p, 1))}
     for name, mult in cone:
-        parts[name] = parts.get(name, 0) - mult
+        parts[name] = -mult
     return CohClass.divisor(ambient, 1, parts)
 
 

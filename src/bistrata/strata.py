@@ -20,17 +20,21 @@ Three construction routes appear:
   merged-points locus.  The division is exact because the killing divisor
   is F + (nilpotent part).
 
-A cone-kill stratum is a recipe (``StratumClass.by_recipe``): its kill
-divisor and a list of summands, each an integer weight times (factor
-class, exponent) pairs, whose sum is the dividend.  kbranch has one
-summand, the conditions factor F + (d-p)X to the power M times the
-incidences; a node pair has the recursion's terms, two or three.  Its degree
-is one coefficient of the quotient, which ``recipe_quotient_top`` computes
-from the factors on one Kronecker evaluation, without building the
-dividend or the quotient; every kbranch and node-pair recipe lies in the
-range where the kill divisor's series is the quotient.  Only a read of the
-class multiplies the recipe out (the stratum's ``dividend``, kept once
-formed) and divides.
+Every stratum has one description, a recipe (``StratumClass``): a list of
+summands, each an integer weight times (factor class, exponent) pairs,
+whose sum is the dividend, and a kill divisor, or None for a product
+stratum.  An ordinary point is one factor, F + (d-p)X to the power
+M = binomial(p+2, 2); a diagram stratum adds its vertex kills; kbranch has
+the conditions factor and the incidences over its kill divisor; a node
+pair has the recursion's terms, two or three.  The two-point product is
+built eagerly, and holds its class as the recipe of one factor.  A degree
+is one coefficient of the dividend or of its quotient, which
+``recipe_quotient_top`` computes from the factors on one Kronecker
+evaluation, without building the dividend or the quotient; every kbranch
+and node-pair recipe lies in the range where the kill divisor's series is
+the quotient.  Only a read of the class multiplies the recipe out (the
+stratum's ``dividend``, kept once formed) and, when there is a kill
+divisor, divides.
 """
 
 from __future__ import annotations
@@ -54,21 +58,20 @@ from .divisors import (
 
 
 class StratumClass(Value):
-    """A lifted stratum class with its extraction metadata.
+    """A lifted stratum as a recipe, with its extraction metadata.
 
-    A cone-kill stratum (``by_recipe``) holds a recipe instead of its class:
-    its kill divisor and its summands, each an integer weight times a list
-    of (factor class, exponent) pairs.  The dividend is the sum of the
-    weighted products, and the class is the dividend divided by the kill
-    divisor.  ``gysin_degree`` reads the degree from the recipe alone
+    The recipe is ``summands``, each an integer weight times a list of
+    (factor class, exponent) pairs, and ``kill``, a divisor or None.  The
+    dividend is the sum of the weighted products; the class is the dividend
+    divided by the kill divisor, or the dividend itself when ``kill`` is
+    None.  ``gysin_degree`` reads the degree from the recipe alone
     (``recipe_quotient_top``), with no class in between.  The first read of
     ``dividend`` multiplies the recipe out and keeps the result; the first
     read of ``cls`` divides that kept dividend with ``divide_exact``,
-    multiply-back check included, and keeps the quotient.  Equality,
-    hashing, repr and pickling are those of the class, so they read it.
-    A dividend that is already built is the recipe of one factor,
-    [(1, [(dividend, 1)])].  Any other stratum holds its class from the
-    start, with ``summands``, ``kill`` and ``dividend`` None.
+    multiply-back check included, when there is a kill divisor, and keeps
+    the class.  Equality, hashing, repr and pickling are those of the
+    class, so they read it.  The constructor takes a class that is already
+    built: its recipe is the one factor [(1, [(cls, 1)])], with no kill.
     """
 
     _fields = ("cls", "aut_order", "valid_from_d", "route")
@@ -76,30 +79,34 @@ class StratumClass(Value):
                  "valid_from_d", "route")
 
     def __init__(self, cls: CohClass, aut_order: int, valid_from_d: int, route: str):
-        self._assign(_cls=cls, _dividend=None, summands=None, kill=None, ambient=cls.ambient,
-                     aut_order=aut_order, valid_from_d=valid_from_d, route=route)
+        self._assign(_cls=cls, _dividend=cls, summands=[(1, [(cls, 1)])], kill=None,
+                     ambient=cls.ambient, aut_order=aut_order, valid_from_d=valid_from_d,
+                     route=route)
 
     @classmethod
-    def by_recipe(cls, summands: list[tuple[int, list[tuple[CohClass, int]]]], kill: CohClass,
-                  aut_order: int, valid_from_d: int, route: str) -> "StratumClass":
-        """The stratum whose class is sum(weight * prod(factor^exponent)) / kill,
-        multiplied out and divided when first read."""
+    def by_recipe(cls, summands: list[tuple[int, list[tuple[CohClass, int]]]],
+                  kill: CohClass | None, aut_order: int, valid_from_d: int,
+                  route: str) -> "StratumClass":
+        """The stratum whose class is sum(weight * prod(factor^exponent)),
+        divided by kill unless it is None, multiplied out (and divided) when
+        first read."""
         stratum = object.__new__(cls)
         stratum._assign(_cls=None, _dividend=None, summands=summands, kill=kill,
-                        ambient=kill.ambient, aut_order=aut_order,
+                        ambient=summands[0][1][0][0].ambient, aut_order=aut_order,
                         valid_from_d=valid_from_d, route=route)
         return stratum
 
     @property
-    def dividend(self) -> CohClass | None:
-        if self._dividend is None and self.summands is not None:
+    def dividend(self) -> CohClass:
+        if self._dividend is None:
             self._assign(_dividend=_multiplied_out(self.summands))
         return self._dividend
 
     @property
     def cls(self) -> CohClass:
         if self._cls is None:
-            self._assign(_cls=self.dividend.divide_exact(self.kill))
+            dividend = self.dividend
+            self._assign(_cls=dividend if self.kill is None else dividend.divide_exact(self.kill))
         return self._cls
 
 
@@ -124,8 +131,9 @@ def omp_stratum(p: int) -> StratumClass:
     if p < 1:
         raise ValueError("p must be >= 1")
     ambient = VarSpec.projective(("X",))
-    cls = omp_conditions_class(ambient, p)
-    return StratumClass(cls, aut_order=1, valid_from_d=p + 1, route="complete intersection")
+    return StratumClass.by_recipe([(1, [_omp_conditions_factor(ambient, p)])], None,
+                                  aut_order=1, valid_from_d=p + 1,
+                                  route="complete intersection")
 
 
 def _branch_symmetry(mults: tuple[int, ...]) -> int:
@@ -176,12 +184,12 @@ def kbranch_stratum(*mults: int) -> StratumClass:
                                   route="marked-branch product")
 
 
-def _diagram_product(nd: NewtonDiagram, ambient: VarSpec,
-                     point: str = "X", line: str = "L") -> CohClass:
-    """Multiplicity conditions of a diagram times its vertex-kill divisors."""
-    m = nd.multiplicity
-    factors = [omp_conditions_class(ambient, m - 1, point)]
-    return product_of(factors + _vertex_kills(nd, ambient, point, line))
+def _diagram_factors(nd: NewtonDiagram, ambient: VarSpec, point: str = "X",
+                     line: str = "L") -> list[tuple[CohClass, int]]:
+    """Multiplicity conditions of a diagram and its vertex-kill divisors,
+    as (factor, exponent) pairs."""
+    kills = _vertex_kills(nd, ambient, point, line)
+    return [_omp_conditions_factor(ambient, nd.multiplicity - 1, point)] + [(x, 1) for x in kills]
 
 
 def _vertex_kills(nd: NewtonDiagram, ambient: VarSpec,
@@ -202,18 +210,14 @@ def diagram_stratum(nd: NewtonDiagram) -> StratumClass:
     if nd.multiplicity < 2:
         raise ValueError("smooth points have no stratum")
     ambient = VarSpec.projective(("X", "L"))
-    cls = _diagram_product(nd, ambient)
     valid = max(a + b for a, b in nd.vertices)
-    return StratumClass(cls, aut_order=1, valid_from_d=valid, route="diagram product")
-
-
-def _two_omp_product(ambient: VarSpec, p: int, q: int) -> CohClass:
-    """Product form of the two ordinary points class over x, y and the line."""
-    return product_of(_two_omp_factors(ambient, p, q))
+    return StratumClass.by_recipe([(1, _diagram_factors(nd, ambient))], None, aut_order=1,
+                                  valid_from_d=valid, route="diagram product")
 
 
 def _two_omp_factors(ambient: VarSpec, p: int, q: int) -> list[CohClass]:
-    """The factors of ``_two_omp_product``: incidences, conditions, linear factors."""
+    """The factors of the two ordinary points class over x, y and the line:
+    incidences, conditions, linear factors."""
     return [incidence_class(ambient, "X", "L"), incidence_class(ambient, "Y", "L"),
             omp_conditions_class(ambient, p)] + _two_omp_linear_factors(ambient, p, q)
 
@@ -234,7 +238,9 @@ def two_omp_stratum(p: int, q: int) -> StratumClass:
 
     The construction is asymmetric, so p < q is rejected rather than
     silently swapped; callers wanting an unordered pair sort the
-    multiplicities first (``stratum_for`` does).
+    multiplicities first (``stratum_for`` does).  The class is the product
+    of ``_two_omp_factors``, built here: the stratum holds it as the recipe
+    of one factor.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
@@ -243,7 +249,7 @@ def two_omp_stratum(p: int, q: int) -> StratumClass:
             f"the product form needs p >= q (got p={p}, q={q}); "
             "substitute max and min of the two parameters")
     ambient = VarSpec.projective(("X", "Y", "L"))
-    cls = _two_omp_product(ambient, p, q)
+    cls = product_of(_two_omp_factors(ambient, p, q))
     return StratumClass(cls, aut_order=2 if p == q else 1,
                         valid_from_d=p + q + 2, route="two-point product")
 
@@ -282,8 +288,9 @@ def stratum_for(sx: SingularitySpec, sy: SingularitySpec | None = None) -> Strat
 
     The class is returned bare.  For cusp and diagram types it lives over
     {X, L} but leaves out the incidence of the point with its tangent line
-    L; the degree layer multiplies that in before Gysin extraction, while
-    the ``class`` verb prints the stratum exactly as its route builds it.
+    L; the degree layer adds that to the recipe as one more factor before
+    Gysin extraction, while the ``class`` verb prints the stratum exactly
+    as its route builds it.
 
     Strata are memoised for the life of the process (``_memoised_stratum``),
     so both orders and every spelling of one stratum return the same object;
@@ -299,14 +306,15 @@ def _memoised_stratum(sx: SingularitySpec, sy: SingularitySpec | None) -> Stratu
 
     The bound of 32 entries is fixed from the traffic: a warm query stream
     asks for about 16 distinct classes, 0.16 MiB together.  An entry holds
-    a whole class, a few KiB for an ordinary point or a cusp.  A cone-kill
-    entry (kbranch, node pairs) holds its recipe instead: small factor
-    classes and the kill divisor, 14 KiB for kbranch 1^8 and 24 KiB for
-    node pair kbranch 1^5, not a dividend.  Reading its class multiplies
-    the recipe out and divides, and the entry keeps both: for kbranch 1^8
-    a 13 KiB dividend and a 0.9 MiB quotient, for kbranch 1^9 14 KiB and
-    1.9 MiB.  32 read entries of that last size hold about 61 MiB, and each
-    further branch multiplies a quotient by about 2.3.
+    its recipe: small factor classes and the kill divisor, 14 KiB for
+    kbranch 1^8 and 24 KiB for node pair kbranch 1^5, not a dividend; a
+    two-point product holds its whole class.  Reading the class multiplies
+    the recipe out, divides when there is a kill divisor, and the entry
+    keeps the result, a few KiB for an ordinary point or a cusp.  For
+    kbranch 1^8 it keeps a 13 KiB dividend and a 0.9 MiB quotient, for
+    kbranch 1^9 14 KiB and 1.9 MiB.  32 read entries of that last size hold
+    about 61 MiB, and each further branch multiplies a quotient by about
+    2.3.
     """
     return _build_stratum(sx, sy)
 

@@ -55,7 +55,8 @@ from .degrees import (
 from .divisors import diagonal_class, exceptional_class, incidence_class
 from .strata import (
     StratumClass,
-    _diagram_product,
+    _diagram_factors,
+    _multiplied_out,
     kbranch_stratum,
     node_pair_stratum,
     two_omp_stratum,
@@ -157,7 +158,7 @@ def one_point_checks() -> list[Check]:
                           got == reference_omp(p)))
     for p in range(2, 7):
         ambient = VarSpec.projective(("X", "L1"))
-        chain = _diagram_product(cusp_diagram(p), ambient, line="L1")
+        chain = _multiplied_out([(1, _diagram_factors(cusp_diagram(p), ambient, line="L1"))])
         out.append(_check(
             f"cusp p={p}: diagram chain times (X+L1) equals the cone-kill division",
             chain * incidence_class(ambient, "X", "L1") == kbranch_stratum(p).cls))
@@ -257,7 +258,7 @@ def integrality_checks(p_max: int = 8, q_max: int = 8) -> list[Check]:
         try:
             # a non-integral coefficient raises inside ``evaluate`` (``_ratio``),
             # and a polynomial with int coefficients is an int at every int d:
-            # each (p, q) counts its six d from the validity bound unevaluated
+            # each (p, q) counts six values of d, unevaluated
             for p, q in formula.domain(p_max, q_max):
                 formula.evaluate(p, q)
                 total += 6

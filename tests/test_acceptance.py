@@ -24,7 +24,8 @@ from bistrata.degrees import (
 )
 from bistrata.divisors import incidence_class
 from bistrata.strata import (
-    _diagram_product,
+    _diagram_factors,
+    _multiplied_out,
     kbranch_stratum,
     node_pair_stratum,
     stratum_for,
@@ -81,7 +82,7 @@ def test_criterion_2_one_point_suite():
         for p in range(2, 7):
             ambient = VarSpec.projective(("X", "L1"))
             nd = NewtonDiagram.from_points([(p, 0), (0, p + 1)])
-            chain = _diagram_product(nd, ambient, line="L1")
+            chain = _multiplied_out([(1, _diagram_factors(nd, ambient, line="L1"))])
             if chain * incidence_class(ambient, "X", "L1") != kbranch_stratum(p).cls:
                 failures.append(f"diagram chain/cone-kill division p={p}")
         return failures

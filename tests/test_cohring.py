@@ -964,6 +964,12 @@ def recipes(draw):
 def test_recipe_top_equals_the_series_and_the_division(recipe):
     summands, kill = recipe
     dividend = multiplied_out(summands)
+    # with no kill divisor the recipe is a product: the top of the dividend,
+    # read at a width whose bound holds every coefficient of the dividend
+    assert recipe_quotient_top(summands, None) == dividend.coefficient(
+        kill.ambient.top_exponent())
+    _, product_bound = cohring._recipe_bound(summands, None)
+    assert all(abs(c) <= product_bound for poly in dividend.terms.values() for c in poly.coeffs)
     if dividend.is_zero():
         with pytest.raises(ValueError, match="zero class"):
             recipe_quotient_top(summands, kill)
@@ -1010,11 +1016,20 @@ def test_recipe_top_below_its_range_raises():
     ([(1, [])], "empty product"),
     ([(1, [(divisor(XL, 1, X=1), -1)])], "negative powers"),
     ([(1, [(divisor(XL, 1, X=1), 5)]), (1, [(divisor(XL, 1, L=1), 6)])], "total degree 5 and 6"),
-    ([(1, [(divisor(XYL, 1, X=1), 5)])], "ambient mismatch"),
+    ([(1, [(divisor(XL, 1, X=1), 4), (divisor(XYL, 1, X=1), 1)])], "ambient mismatch"),
 ])
 def test_recipe_top_refuses_malformed_recipes(summands, message):
-    with pytest.raises(ValueError, match=message):
-        recipe_quotient_top(summands, divisor(XL, 1, X=2))
+    # over a kill divisor, and as a product with none
+    for kill in (divisor(XL, 1, X=2), None):
+        with pytest.raises(ValueError, match=message):
+            recipe_quotient_top(summands, kill)
+
+
+def test_product_top_of_a_class_is_its_coefficient():
+    # a built class is the recipe of one factor; below its top level the top is 0
+    a = product_of([divisor(XYL, 1, X=ParamPoly((-k, 1)), Y=k, L=1) for k in range(1, 9)])
+    assert recipe_quotient_top([(1, [(a, 1)])], None) == a.coefficient(XYL.top_exponent())
+    assert recipe_quotient_top([(1, [(divisor(XYL, 1, X=1), 5)])], None).is_zero()
 
 
 def test_recipe_top_builds_no_class(monkeypatch):

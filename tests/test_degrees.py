@@ -120,6 +120,17 @@ def test_closed_form_families():
     assert form.at_p(9) == fam(9)
 
 
+@pytest.mark.parametrize("q", (1, 2, 3))
+def test_two_omp_closed_forms_are_recovered(q):
+    # sampled at p = q..q+7 and checked at the held-out p = q+8, the
+    # recovered grid is the printed closed form's
+    fam = lambda p: gysin_degree(two_omp_stratum(p, q)).degree
+    form = closed_form_in_p(fam, q, q + 7)
+    printed = closed_form_in_p(lambda p: reference_two_omp(p, q), q, q + 7)
+    assert form.holdout == q + 8
+    assert form.grid == printed.grid and form.p_base == printed.p_base == q
+
+
 def test_closed_form_catches_insufficient_samples():
     fam = lambda p: reference_two_omp(p, 1)
     with pytest.raises(InterpolationError):
@@ -131,8 +142,7 @@ def test_reference_catalog_integrality_spot():
     for formula in (f for f in REFERENCE_FORMULAS if f.key in keys):
         for p, q in formula.domain(5, 5):
             poly = formula.evaluate(p, q)
-            v0 = formula.validity(p, q)
-            assert all(isinstance(poly(d), int) for d in range(v0, v0 + 3))
+            assert all(isinstance(poly(d), int) for d in range(3, 12))
 
 
 def test_recursion_reproduces_printed_pair_forms():

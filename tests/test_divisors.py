@@ -154,6 +154,19 @@ def test_a_generator_paired_with_itself_is_refused():
             diagonal_class(XYL, "X", "X", n)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: exceptional_class(XYL, "X", "X", "L"),  # was X - L
+    lambda: exceptional_class(XYL, "X", "Y", "X"),
+    lambda: monomial_kill_class(XL, 1, 0, "X", "X"),  # was F + X
+    lambda: kill_tangent_cone_class(LINES, 2, [("L1", 1), ("L1", 1)]),  # was F + (d-2)X - 2L1
+    lambda: kill_tangent_cone_class(LINES, 2, [("X", 2)]),  # was F + (d-4)X
+], ids=["exceptional two points", "exceptional point as line", "monomial kill",
+        "cone line twice", "cone line as point"])
+def test_a_generator_named_twice_is_refused(build):
+    with pytest.raises(ValueError, match="generators, got"):
+        build()
+
+
 # -- every builder against the validating constructor ----------------------------
 
 @pytest.mark.parametrize("ambient", [XL, XYL, LINES])

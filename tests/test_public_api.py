@@ -1,7 +1,7 @@
 """Guard on the public API: every name in ``bistrata.__all__`` has a caller.
 
-A caller is a module of the package other than ``__init__``, or a script
-under ``scripts/``; tests do not count.  A name used only inside its own
+A caller is a module of the package other than ``__init__``; tests do not
+count.  A name used only inside its own
 definition (a recursive call, a class naming itself) has no caller.
 """
 
@@ -12,7 +12,7 @@ import bistrata
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 CALLER_FILES = [path for path in sorted((ROOT / "src" / "bistrata").glob("*.py"))
-                if path.name != "__init__.py"] + sorted((ROOT / "scripts").glob("*.py"))
+                if path.name != "__init__.py"]
 
 
 class References(ast.NodeVisitor):

@@ -19,8 +19,9 @@ from bistrata.divisors import incidence_class, kill_tangent_cone_class
 from bistrata.strata import (
     StratumClass,
     _build_stratum,
-    _diagram_product,
+    _diagram_factors,
     _dispatch_order,
+    _multiplied_out,
     cone_line_names,
     diagram_stratum,
     kbranch_stratum,
@@ -124,7 +125,7 @@ def test_diagram_stratum_equals_cusp_chain(p):
 def test_cusp_diagram_chain_equals_cone_kill_division(p):
     # a product route against a division route, over the same {X, L1}
     ambient = VarSpec.projective(("X", "L1"))
-    chain = _diagram_product(cusp_diagram(p), ambient, line="L1")
+    chain = _multiplied_out([(1, _diagram_factors(cusp_diagram(p), ambient, line="L1"))])
     assert chain * incidence_class(ambient, "X", "L1") == kbranch_stratum(p).cls
 
 
@@ -362,32 +363,65 @@ def test_reading_the_class_twice_divides_once(monkeypatch):
 def test_a_divided_stratum_is_the_value_of_its_class(build):
     # equality, hash, repr and pickling read the class, divided on demand
     s = build()
-    eager = StratumClass(s.dividend.divide_exact(s.kill), s.aut_order, s.valid_from_d, s.route)
-    assert eager.kill is None and eager.dividend is None
+    cls = s.dividend.divide_exact(s.kill)
+    eager = StratumClass(cls, s.aut_order, s.valid_from_d, s.route)
+    # a built class is the recipe of one factor, with no kill divisor
+    assert eager.kill is None and eager.summands == [(1, [(cls, 1)])]
     assert build() == eager and eager == build()
     assert hash(build()) == hash(eager) and repr(build()) == repr(eager)
     restored = pickle.loads(pickle.dumps(build()))
     assert restored == eager and restored.kill is None
+    assert restored.summands == [(1, [(cls, 1)])]
 
 
-# -- cone-kill strata are recipes: the degree builds no class ------------------
+# -- every stratum is a recipe: the degree builds no class ---------------------
 
 
-@pytest.mark.parametrize("build", [lambda: kbranch_stratum(2, 1, 1),
-                                   lambda: kbranch_stratum(*[1] * 6),
-                                   lambda: node_pair_stratum(SingularitySpec.cusp(5)),
-                                   lambda: node_pair_stratum(SingularitySpec.kbranch(2, 1, 1))],
-                         ids=["kbranch", "kbranch 1^6", "node-pair cusp", "node-pair kbranch"])
-def test_a_recipe_degree_takes_no_class_product(monkeypatch, build):
-    want = build().cls.coefficient(build().ambient.top_exponent())
+def top_of(cls):
+    return cls.coefficient(cls.ambient.top_exponent())
+
+
+def with_incidence(spec):
+    """The class of a bare cusp or diagram stratum times its tangent incidence."""
+    cls = stratum_for(spec).cls
+    return cls * incidence_class(cls.ambient, "X", "L")
+
+
+# a linear diagram with a middle vertex, which no other type spells
+DIAGRAM = SingularitySpec.from_diagram(NewtonDiagram.from_points([(0, 5), (2, 1), (3, 0)]))
+RECIPE_DEGREES = {
+    "kbranch": (lambda: gysin_degree(kbranch_stratum(2, 1, 1)),
+                lambda: kbranch_stratum(2, 1, 1).cls),
+    "kbranch 1^6": (lambda: gysin_degree(kbranch_stratum(*[1] * 6)),
+                    lambda: kbranch_stratum(*[1] * 6).cls),
+    "node-pair cusp": (lambda: gysin_degree(node_pair_stratum(SingularitySpec.cusp(5))),
+                       lambda: node_pair_stratum(SingularitySpec.cusp(5)).cls),
+    "node-pair kbranch": (
+        lambda: gysin_degree(node_pair_stratum(SingularitySpec.kbranch(2, 1, 1))),
+        lambda: node_pair_stratum(SingularitySpec.kbranch(2, 1, 1)).cls),
+    "omp": (lambda: gysin_degree(omp_stratum(5)), lambda: omp_stratum(5).cls),
+    "diagram": (lambda: gysin_degree(diagram_stratum(DIAGRAM.diagram)),
+                lambda: diagram_stratum(DIAGRAM.diagram).cls),
+    "cusp degree": (lambda: stratum_degree(SingularitySpec.cusp(4)),
+                    lambda: with_incidence(SingularitySpec.cusp(4))),
+    "diagram degree": (lambda: stratum_degree(DIAGRAM), lambda: with_incidence(DIAGRAM)),
+}
+
+
+@pytest.mark.parametrize("name", RECIPE_DEGREES)
+def test_a_recipe_degree_takes_no_class_product(monkeypatch, name):
+    degree, cls = RECIPE_DEGREES[name]
+    want = top_of(cls())
+    memo.cache_clear()
+    _memoised_degree.cache_clear()
 
     def refuse(*args):
         raise AssertionError("a class product or power was taken")
 
     monkeypatch.setattr(CohClass, "__mul__", refuse)
     monkeypatch.setattr(CohClass, "__pow__", refuse)
-    s = build()  # the builder multiplies nothing either
-    assert gysin_degree(s).degree == want
+    # the builders multiply nothing either
+    assert degree().degree == want
 
 
 def test_node_pair_parts_multiply_out_the_recipe():

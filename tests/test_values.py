@@ -36,9 +36,9 @@ CASES = {
                    " valid_from_d=3, route='complete intersection')"),
     ClosedForm: ((1, ((0, 0, 3), (0, 0, 12)), 6),
                  "ClosedForm(p_base=1, grid=((0, 0, 3), (0, 0, 12)), holdout=6)"),
-    ReferenceFormula: (("t", max, 1, True, min),
+    ReferenceFormula: (("t", max, 1, True),
                        "ReferenceFormula(key='t', evaluate=<built-in function max>, p_min=1,"
-                       " uses_q=True, validity=<built-in function min>)"),
+                       " uses_q=True)"),
 }
 CLASSES = list(CASES)
 
