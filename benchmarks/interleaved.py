@@ -14,7 +14,9 @@ percent.
 
 The rows are the warm ``verify`` suites, each run once untimed first (which
 fills the degree memo and the other process-wide memos), the ladder's
-``ParamPoly`` rows on the ladder's operands, the six stratum builds of
+``ParamPoly`` rows on the ladder's operands and on the 7000 products of a
+``verify --suite ring`` call (``ParamPoly mul, ring triples``, one sample
+per call of all 7000), the six stratum builds of
 perfbench's strata-heavy pass and ``two_omp_stratum(6, 3)`` (each a fresh
 build: the builders keep no memo, so these rows time the divisor classes,
 the recipes and, for the two-point product, the ring's products), fresh
@@ -113,6 +115,11 @@ def rows(verify, coeffring, cli, strata, collide, degrees) -> dict[str, object]:
     b = poly((123456789, -987654321, 55555))
     out["ParamPoly mul"] = lambda: a * b
     out["ParamPoly add"] = lambda: a + b
+    # the 7000 products of one ``verify --suite ring`` call, operands built once
+    pairs = []
+    for x, y, z in verify._ring_triples(1000, 20260809):
+        pairs += [(x, y), (x * y, z), (y, z), (x, y * z), (y, x), (x, y + z), (x, z)]
+    out["ParamPoly mul, ring triples"] = lambda: [u * v for u, v in pairs]
     for name, *job in BUILDS:
         out[name] = lambda _job=job: build(strata, collide, *_job)
     out["build two_omp_stratum(6, 3)"] = lambda: strata.two_omp_stratum(6, 3)

@@ -38,7 +38,7 @@ from bistrata.divisors import incidence_class, kill_tangent_cone_class, omp_cond
 from bistrata.strata import (StratumClass, _memoised_stratum, _two_omp_factors,
                              cone_line_names, kbranch_stratum, node_pair_stratum,
                              stratum_for, two_omp_stratum)
-from bistrata.verify import run_suite
+from bistrata.verify import _ring_triples, run_suite
 
 XYL = VarSpec.projective(("X", "Y", "L"))
 
@@ -61,6 +61,16 @@ def test_parampoly_mul(benchmark):
     b = ParamPoly((123456789, -987654321, 55555))
     got = benchmark(a.__mul__, b)
     assert got.degree() == 6 and all(got(d) == a(d) * b(d) for d in range(7))
+
+
+def test_parampoly_mul_ring_triples(benchmark):
+    # the 7000 products of one ``verify --suite ring`` call, operands built
+    # once: factors of 1-5 coefficients, the shapes the product kernels serve
+    pairs = []
+    for a, b, c in _ring_triples(1000, 20260809):
+        pairs += [(a, b), (a * b, c), (b, c), (a, b * c), (b, a), (a, b + c), (a, c)]
+    got = benchmark(lambda: [x * y for x, y in pairs])
+    assert len(got) == 7000 and all(p(2) == x(2) * y(2) for p, (x, y) in zip(got, pairs))
 
 
 def test_parampoly_add(benchmark):

@@ -141,6 +141,26 @@ def _class_json(stratum: StratumClass) -> str:
             f'  "route": {quote(stratum.route)}\n}}')
 
 
+def _degree_json(label: str, result: DegreeResult, d0: int | None, below: bool) -> str:
+    """The ``degree --format json`` payload exactly as
+    ``json.dumps(payload, indent=2)`` prints it, written as ``_class_json``
+    writes its own: the family label, the fields of ``DegreeResult.to_json``,
+    then ``d`` and, at a numeric d, ``value`` and ``below_validity``.  The
+    label and the route go through ``encode_basestring_ascii``; every other
+    value is an int, a decimal string or a fixed word.
+    """
+    from json.encoder import encode_basestring_ascii as quote
+    degree = _json_array([f'"{c}"' for c in result.degree.coeffs])
+    text = (f'{{\n  "family": {quote(label)},\n  "degree": {degree},\n'
+            f'  "aut_applied": {result.aut_applied},\n'
+            f'  "valid_from_d": {result.valid_from_d},\n'
+            f'  "route": {quote(result.route)},\n')
+    if d0 is None:
+        return text + '  "d": "symbolic"\n}'
+    return text + (f'  "d": {d0},\n  "value": {result.value_at(d0)},\n'
+                   f'  "below_validity": {"true" if below else "false"}\n}}')
+
+
 def _json_array(items: list[str]) -> str:
     """A top-level field's array of printed items, laid out as ``indent=2`` does."""
     return "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"
@@ -160,13 +180,7 @@ def cmd_degree(args, out, err) -> int:
     d_numeric = args.d
     below = _below_validity(result, d_numeric, err)
     if args.format == "json":
-        payload = {"family": _family_label(args)}
-        payload.update(result.to_json())
-        payload["d"] = d_numeric if d_numeric is not None else "symbolic"
-        if d_numeric is not None:
-            payload["value"] = result.value_at(d_numeric)
-            payload["below_validity"] = below
-        _print_json(payload, out)
+        print(_degree_json(_family_label(args), result, d_numeric, below), file=out)
     elif args.format == "csv":
         value = result.value_at(d_numeric) if d_numeric is not None else str(result)
         d_col = d_numeric if d_numeric is not None else "symbolic"

@@ -13,13 +13,29 @@ as an operand.  The ring's own results skip the constructor: ``*`` and
 this module computed, and ``const`` of an exact ``int`` does the same.  An
 ``int`` operand of ``*`` or ``+``, on either side, is combined with the
 coefficients directly, without being made a constant polynomial first;
-``shifted`` runs Horner in d + a on a list of ints.
+``shifted`` runs Horner in d + a on a list of ints, and a shift that is
+not an int (a bool included) raises TypeError.
+
+A product whose longer factor has at most ``_KERNEL_CAP`` = 8 coefficients
+runs a straight-line kernel of its shape (la, lb): unpack both tuples into
+locals, return each product entry as one sum.  It takes about half the
+time of the schoolbook double loop on the factors of 1-5 coefficients that
+dominate (0.95 against 1.8 us per product on the ring suite's triples, on
+a 2-vCPU virtual machine under Python 3.11).  Each kernel is generated by
+``_kernel`` and compiled with ``exec`` on its shape's first product, never
+at import, and kept in ``_KERNELS``; its source is built from the two
+lengths alone, so no input reaches ``exec``.  The cap bounds the kernels
+to 36 and a compile to about 0.3 ms (8 x 8).  Longer products keep the
+double loop: a compile grows with la * lb (0.3 s at 300 x 300), so without
+a cap one rare long product could cost more to compile than every kernel
+saves.  The program's own longest factors have 9 coefficients, in 45 of
+the 6910 products of ``verify --suite all``.
 """
 
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 
 # a coefficient entry of the JSON schema: an optionally signed ASCII decimal integer
 _DECIMAL = re.compile(r"[+-]?[0-9]+")
@@ -127,11 +143,18 @@ class ParamPoly:
         if not a or not b:
             poly.coeffs = ()
             return poly
-        if len(a) < len(b):
-            a, b = b, a
-        out = [0] * (len(a) + len(b) - 1)
-        # one row per entry of the shorter factor; Z has no zero divisors, so
-        # the top entry a[-1] * b[-1] is nonzero and nothing needs stripping
+        la, lb = len(a), len(b)
+        if la < lb:
+            a, b, la, lb = b, a, lb, la
+        # Z has no zero divisors, so the top entry a[-1] * b[-1] of either
+        # path is nonzero and nothing needs stripping.  A longer factor of at
+        # most _KERNEL_CAP entries runs the straight-line kernel of the shape
+        # (la, lb), generated on the shape's first product
+        if la <= _KERNEL_CAP:
+            poly.coeffs = (_KERNELS.get((la, lb)) or _kernel(la, lb))(a, b)
+            return poly
+        # past it, one row per entry of the shorter factor
+        out = [0] * (la + lb - 1)
         for i, cb in enumerate(b):
             if cb:
                 for j, ca in enumerate(a, i):
@@ -165,7 +188,13 @@ class ParamPoly:
         return acc
 
     def shifted(self, a: int) -> "ParamPoly":
-        """Return P(d + a), the Taylor shift of the variable by a."""
+        """Return P(d + a), the Taylor shift of the variable by a.
+
+        The shift must be an int: a float would leave float coefficients,
+        and a bool is no integer here, as in ``const``; both raise TypeError.
+        """
+        if a.__class__ is not int and (not isinstance(a, int) or isinstance(a, bool)):
+            raise TypeError(f"integer shift required, got {a!r}")
         # Horner in (d + a) on a list of ints: pass i is a synthetic division
         # by (d - a) of entries i.., which leaves in entry i the coefficient
         # of d^i in P(d + a); the top entry never changes, so none is stripped
@@ -222,6 +251,33 @@ class ParamPoly:
 
     def __repr__(self) -> str:
         return f"ParamPoly({list(self.coeffs)!r})"
+
+
+# The longest factor, in coefficients, whose products run a straight-line
+# kernel: at most 36 kernels, one per shape (la, lb) with lb <= la <= 8.
+_KERNEL_CAP = 8
+_KERNELS: dict[tuple[int, int], Callable] = {}
+
+
+def _kernel(la: int, lb: int) -> Callable:
+    """The product kernel of the shape (la, lb), 1 <= lb <= la, compiled and
+    kept in ``_KERNELS`` on the shape's first use.
+
+    ``kernel(a, b)`` unpacks the two coefficient tuples into locals and
+    returns every entry of the product as one sum of products, with no loop
+    and no list.  The source text is built from la and lb alone, so no
+    coefficient or other input ever reaches ``exec``.
+    """
+    a = ", ".join(f"a{i}" for i in range(la))
+    b = ", ".join(f"b{j}" for j in range(lb))
+    entries = [" + ".join(f"a{i}*b{k - i}" for i in range(max(0, k - lb + 1), min(k, la - 1) + 1))
+               for k in range(la + lb - 1)]
+    source = (f"def kernel(a, b):\n    {a}, = a\n    {b}, = b\n"
+              f"    return ({', '.join(entries)},)\n")
+    namespace: dict = {}
+    exec(source, namespace)
+    kernel = _KERNELS[la, lb] = namespace["kernel"]
+    return kernel
 
 
 def _stripped(coeffs: list[int]) -> ParamPoly:

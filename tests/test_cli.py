@@ -14,7 +14,7 @@ from hypothesis import example, given, strategies as st
 
 from bistrata import cli, degrees, strata
 from bistrata.cli import build_parser, main, parse_range, parse_type_spec, SpecError
-from bistrata.coeffring import binomial
+from bistrata.coeffring import ParamPoly, binomial
 from bistrata.collide import NewtonDiagram, SingularitySpec, collide_omp, cusp_diagram
 
 
@@ -93,6 +93,40 @@ def test_degree_numeric_with_value():
     payload = json.loads(out)
     assert payload["value"] == 225
     assert payload["below_validity"] is False
+
+
+def _degree_payload(label, result, d0, below):
+    # the payload as ``degree --format json`` built it for ``json.dumps``
+    payload = {"family": label, **result.to_json(), "d": "symbolic" if d0 is None else d0}
+    if d0 is not None:
+        payload.update(value=result.value_at(d0), below_validity=below)
+    return payload
+
+
+@given(st.one_of(st.text(), st.sampled_from(('a"b', "back\\slash", "d\u00e9g", "\u2603\x07"))),
+       st.lists(st.integers(), max_size=6), st.integers(1, 6), st.integers(-5, 99),
+       st.one_of(st.text(), st.just("r\u00f6ute")), st.one_of(st.none(), st.integers()),
+       st.booleans())
+def test_degree_json_writer_equals_json_dumps(label, coeffs, aut, valid, route, d0, below):
+    # aut divides every coefficient, so value_at is defined at every d0
+    result = degrees.DegreeResult(ParamPoly([aut * c for c in coeffs]), aut, valid, route)
+    assert cli._degree_json(label, result, d0, below) == \
+        json.dumps(_degree_payload(label, result, d0, below), indent=2)
+
+
+@pytest.mark.parametrize("x, y", [("omp:2", "omp:2"), ("cusp:5", "omp:2"),
+                                  ("diagram:0,4,2,1,3,0", None), ("kbranch:2,1", None)])
+@pytest.mark.parametrize("d_args", [(), ("--d", "3"), ("--d", "40")])
+def test_degree_json_prints_the_json_dumps_bytes(x, y, d_args):
+    # symbolic d, and a numeric d below and above the validity bound
+    code, out, _ = run_cli("degree", "--x", x, *(("--y", y) if y else ()), *d_args,
+                           "--format", "json")
+    result = degrees.stratum_degree(parse_type_spec(x), parse_type_spec(y) if y else None)
+    d0 = int(d_args[1]) if d_args else None
+    below = d0 is not None and d0 < result.valid_from_d
+    label = x + ("+" + y if y else "")
+    assert code == 0
+    assert out == json.dumps(_degree_payload(label, result, d0, below), indent=2) + "\n"
 
 
 @pytest.mark.parametrize("spec", ["diagram:0,4,2,0", "kbranch:2,1"])

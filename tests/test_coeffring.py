@@ -1,13 +1,18 @@
 import operator
+import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
+from bistrata import coeffring
 from bistrata.coeffring import ParamPoly, binomial
 from bistrata.degrees import _zpoly
 
 polys = st.lists(st.integers(-9, 9), min_size=0, max_size=5).map(ParamPoly)
-wide_polys = st.one_of(polys, st.lists(st.integers(), max_size=6).map(ParamPoly))
+# up to 12 coefficients: products on both sides of the kernel cap (8)
+wide_polys = st.one_of(polys, st.lists(st.integers(), max_size=12).map(ParamPoly))
 ints = st.one_of(st.integers(-9, 9), st.integers())
 
 
@@ -80,6 +85,80 @@ def test_shifted_is_taylor_shift():
     shifted = poly.shifted(4)
     for d in range(-3, 4):
         assert shifted(d) == poly(d + 4)
+
+
+def test_shifted_refuses_a_shift_that_is_not_an_int():
+    # a float shift would leave float coefficients, which from_json refuses
+    poly = ParamPoly([1, 2])
+    for bad in (0.5, 2.0, True, False, "1", None):
+        with pytest.raises(TypeError):
+            poly.shifted(bad)
+        with pytest.raises(TypeError):
+            ParamPoly().shifted(bad)
+    assert poly.shifted(-3).coeffs == (-5, 2)
+
+
+def _schoolbook(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return tuple(out)
+
+
+def _sweep_operands(n):
+    """Coefficient tuples of length n with a nonzero top entry: zero middle
+    entries, alternating signs, 100-bit entries, and negative 100-bit ones."""
+    big = 2 ** 100
+    return [
+        (3,) + (0,) * (n - 2) + (-5,) if n > 1 else (-5,),
+        tuple((-1) ** i * (i + 2) for i in range(n)),
+        tuple(big - 7 * i + 1 for i in range(n)),
+        tuple(-big - i if i % 2 else 0 for i in range(n - 1)) + (-big,),
+    ]
+
+
+SWEEP = range(1, coeffring._KERNEL_CAP + 3)
+
+
+@pytest.mark.parametrize("la", SWEEP)
+def test_products_of_every_shape_to_past_the_cap(la):
+    # every shape (la, lb), lb <= la, from 1 x 1 to two entries past the cap,
+    # in both operand orders: up to the cap each product runs the shape's
+    # kernel, past it the double loop
+    for lb in range(1, la + 1):
+        for a in _sweep_operands(la):
+            for b in _sweep_operands(lb):
+                want = _schoolbook(a, b)
+                for got in (ParamPoly(a) * ParamPoly(b), ParamPoly(b) * ParamPoly(a)):
+                    _assert_canonical(got)
+                    assert got.coeffs == want
+                    n = got.degree()
+                    assert all(got(d0) == ParamPoly(a)(d0) * ParamPoly(b)(d0)
+                               for d0 in range(-1, n + 1))
+        assert ((la, lb) in coeffring._KERNELS) == (la <= coeffring._KERNEL_CAP)
+
+
+def test_kernels_stay_within_the_cap():
+    cap = coeffring._KERNEL_CAP
+    before = dict(coeffring._KERNELS)
+    wide = ParamPoly(range(1, cap + 2))
+    for other in (ParamPoly([2]), ParamPoly([1, 1]), wide, ParamPoly(range(1, 3 * cap))):
+        assert (wide * other).coeffs == _schoolbook(wide.coeffs, other.coeffs)
+    assert coeffring._KERNELS == before  # a factor longer than the cap adds no kernel
+    ParamPoly([1, 2]) * ParamPoly([3])
+    assert all(type(key) is tuple and len(key) == 2 and 1 <= key[1] <= key[0] <= cap
+               and callable(kernel) for key, kernel in coeffring._KERNELS.items())
+    assert (2, 1) in coeffring._KERNELS
+
+
+def test_no_kernel_is_generated_at_import():
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import bistrata.cli; "
+             "from bistrata import coeffring; print(len(coeffring._KERNELS))")
+    done = subprocess.run([sys.executable, "-c", probe, str(src)],
+                          capture_output=True, text=True, check=True, timeout=60)
+    assert done.stdout == "0\n"
 
 
 @given(polys, polys, polys)
