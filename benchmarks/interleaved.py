@@ -16,7 +16,9 @@ The rows are the warm ``verify`` suites, each run once untimed first (which
 fills the degree memo and the other process-wide memos), the ladder's
 ``ParamPoly`` rows on the ladder's operands and on the 7000 products of a
 ``verify --suite ring`` call (``ParamPoly mul, ring triples``, one sample
-per call of all 7000), the six stratum builds of
+per call of all 7000) and on the 2000 summand pairs of its distributivity
+check, added and subtracted (``ParamPoly add, ring triples``, ``ParamPoly
+sub, ring triples``), the six stratum builds of
 perfbench's strata-heavy pass and ``two_omp_stratum(6, 3)`` (each a fresh
 build: the builders keep no memo, so these rows time the divisor classes,
 the recipes and, for the two-point product, the ring's products), fresh
@@ -24,7 +26,8 @@ degrees of the product strata (``omp:2..11``, ``cusp:2..16``, the
 queries-mix diagrams and the 77 two-omp cells of ``table --p-range 1..14
 --q-range 1..7``, each read past the degree memo, through the function it
 wraps), and warm ``cli.main`` calls into ``io.StringIO`` (a ``degree`` call
-in each of its three formats, a ``collide`` and a ``table``), also run once
+in each of its three formats, a ``collide``, a json ``class`` of node pair
+kbranch 1,1 and a ``table``), also run once
 untimed first, whose time is mostly the command line's own per-call cost.
 Every round times each row once on each side, and the side that goes first
 alternates from round to round.
@@ -73,6 +76,7 @@ CLI_CALLS = {
     "cli degree json": DEGREE + ["--format", "json"],
     "cli degree csv": DEGREE + ["--format", "csv"],
     "cli collide": ["collide", "--x", "omp:4", "--y", "omp:3"],
+    "cli class json": ["class", "--x", "kbranch:1,1", "--y", "omp:2", "--format", "json"],
     "cli table": ["table", "--family", "two-omp", "--p-range", "1..14", "--q-range", "3..3",
                   "--d", "40"],
 }
@@ -120,6 +124,12 @@ def rows(verify, coeffring, cli, strata, collide, degrees) -> dict[str, object]:
     for x, y, z in verify._ring_triples(1000, 20260809):
         pairs += [(x, y), (x * y, z), (y, z), (x, y * z), (y, x), (x, y + z), (x, z)]
     out["ParamPoly mul, ring triples"] = lambda: [u * v for u, v in pairs]
+    # the 2000 summand pairs of its distributivity check, b + c and ab + a * c
+    summands = []
+    for x, y, z in verify._ring_triples(1000, 20260809):
+        summands += [(y, z), (x * y, x * z)]
+    out["ParamPoly add, ring triples"] = lambda: [u + v for u, v in summands]
+    out["ParamPoly sub, ring triples"] = lambda: [u - v for u, v in summands]
     for name, *job in BUILDS:
         out[name] = lambda _job=job: build(strata, collide, *_job)
     out["build two_omp_stratum(6, 3)"] = lambda: strata.two_omp_stratum(6, 3)

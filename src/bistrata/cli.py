@@ -25,12 +25,13 @@ from __future__ import annotations
 import contextlib
 import io
 import sys
+from functools import lru_cache
 from types import SimpleNamespace
 
 from .coeffring import _DECIMAL
 from .collide import NewtonDiagram, SingularitySpec, collide_omp, is_linear, residual_multiplicity
 from .degrees import DegreeResult, stratum_degree
-from .strata import StratumClass, stratum_for
+from .strata import StratumClass, _dispatch_order, stratum_for
 from .verify import SUITES, run_suite
 
 
@@ -197,17 +198,33 @@ def cmd_degree(args, out, err) -> int:
     return 0
 
 
+@lru_cache(maxsize=32)
+def _memoised_class_json(sx: SingularitySpec, sy: SingularitySpec | None) -> str:
+    """``_class_json`` of the stratum of types already in ``_dispatch_order``.
+
+    The text is a function of the stratum alone, and the stratum memo
+    already keeps the class, so a warm ``class --format json`` call prints
+    the text written the first time instead of writing it again.  Key and
+    bound are the stratum memo's: both orders and every spelling of one
+    stratum share an entry, and a refused pair raises and is never stored.
+    An entry is the printed text: 22 KiB for node pair kbranch 1,1, 376 KiB
+    for kbranch 1^7 and 423 KiB for node pair kbranch 1^5, so 32 entries of
+    that last size hold about 13 MiB.
+    """
+    return _class_json(stratum_for(sx, sy))
+
+
 def cmd_class(args, out, err) -> int:
     sx = parse_type_spec(args.x)
     sy = parse_type_spec(args.y) if args.y else None
     # the bare stratum, without the tangent incidence that degree multiplies in
-    stratum = stratum_for(sx, sy)
     if args.format == "json":
-        print(_class_json(stratum), file=out)
-    else:
-        print(f"class ({_family_label(args)}), total degree "
-              f"{stratum.cls.total_degree}, aut {stratum.aut_order}:", file=out)
-        print(str(stratum.cls), file=out)
+        print(_memoised_class_json(*_dispatch_order(sx, sy)), file=out)
+        return 0
+    stratum = stratum_for(sx, sy)
+    print(f"class ({_family_label(args)}), total degree "
+          f"{stratum.cls.total_degree}, aut {stratum.aut_order}:", file=out)
+    print(str(stratum.cls), file=out)
     return 0
 
 

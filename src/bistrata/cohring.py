@@ -77,7 +77,7 @@ from math import comb, factorial, prod
 from operator import lshift
 
 from ._value import Value
-from .coeffring import ParamPoly
+from .coeffring import ParamPoly, _require_int
 
 
 class ExactDivisionError(ArithmeticError):
@@ -630,6 +630,7 @@ class CohClass:
                         _packed_keys=True)
 
     def __pow__(self, n: int) -> "CohClass":
+        _require_int(n, "exponent")
         if n < 0:
             raise ValueError("negative powers are not defined")
         result = CohClass.one(self.ambient)

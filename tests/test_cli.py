@@ -279,6 +279,57 @@ def test_class_reads_kbranch_orders_as_one_type(fmt):
     assert first == second
 
 
+def _class_argv(x, y):
+    return ["class", "--x", x] + (["--y", y] if y else []) + ["--format", "json"]
+
+
+def test_class_text_memo_prints_what_the_writer_prints(perfbench):
+    # every class the benchmark asks for, in both orders of a pair: the call
+    # that writes the memo entry and the call that reads it print the
+    # unmemoised writer's text of a fresh build
+    perfbench("checks")
+    workloads = perfbench("workloads")
+    cli._memoised_class_json.cache_clear()
+    for x, y in workloads.CLASS_SPECS:
+        pair = (parse_type_spec(x), parse_type_spec(y) if y else None)
+        want = cli._class_json(strata._build_stratum(*strata._dispatch_order(*pair))) + "\n"
+        for argv in [_class_argv(x, y)] + ([_class_argv(y, x)] if y else []):
+            for _ in range(2):
+                assert run_cli(*argv) == (0, want, "")
+    assert cli._memoised_class_json.cache_info().currsize == len(workloads.CLASS_SPECS)
+
+
+def test_class_text_memo_stores_no_refused_pair():
+    memo = cli._memoised_class_json
+    memo.cache_clear()
+    for _ in range(2):
+        code, out, err = run_cli(*_class_argv("cusp:3", "cusp:3"))
+        assert (code, out) == (1, "") and err.startswith("error: ")
+    assert memo.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("spellings", [
+    ["cusp:3", "kbranch:3", "diagram:0,4,3,0"],
+    ["kbranch:2,1", "kbranch:1,2"],
+])
+@pytest.mark.parametrize("partner", [None, "omp:2"])
+def test_class_text_memo_keys_every_spelling_of_a_type_once(spellings, partner):
+    memo = cli._memoised_class_json
+    memo.cache_clear()
+    printed = set()
+    for x in spellings:
+        for argv in [_class_argv(x, partner)] + ([_class_argv(partner, x)] if partner else []):
+            code, out, _ = run_cli(*argv)
+            assert code == 0
+            printed.add(out)
+    assert len(printed) == 1 and memo.cache_info().currsize == 1
+
+
+def test_class_text_memo_is_bounded_as_the_stratum_memo():
+    maxsize = cli._memoised_class_json.cache_info().maxsize
+    assert maxsize == strata._memoised_stratum.cache_info().maxsize == 32
+
+
 def _modules_before_and_added_by_import():
     # -S: no site hook runs, so the watched modules are absent before the import
     # and the difference can see them arrive
@@ -405,6 +456,7 @@ def test_repeated_calls_are_independent(tmp_path, monkeypatch):
     for argv, want in zip(MIXED_CALLS, forward):
         degrees._memoised_degree.cache_clear()
         strata._memoised_stratum.cache_clear()
+        cli._memoised_class_json.cache_clear()
         assert call(argv) == want
     codes = [got[0] for got in forward]
     assert codes == [0] * 9 + [2, 2, 0, 0]

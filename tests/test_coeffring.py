@@ -99,6 +99,8 @@ def test_shifted_refuses_a_shift_that_is_not_an_int():
 
 
 def _schoolbook(a, b):
+    if not a or not b:
+        return ()
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         for j, y in enumerate(b):
@@ -106,9 +108,20 @@ def _schoolbook(a, b):
     return tuple(out)
 
 
+def _entrywise(a, b, sign):
+    """a + sign * b, entry by entry, with its zero top entries stripped."""
+    out = [x + sign * y for x, y in zip(a + (0,) * len(b), b + (0,) * len(a))]
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
 def _sweep_operands(n):
     """Coefficient tuples of length n with a nonzero top entry: zero middle
-    entries, alternating signs, 100-bit entries, and negative 100-bit ones."""
+    entries, alternating signs, 100-bit entries, and negative 100-bit ones;
+    the zero polynomial alone at n = 0."""
+    if not n:
+        return [()]
     big = 2 ** 100
     return [
         (3,) + (0,) * (n - 2) + (-5,) if n > 1 else (-5,),
@@ -118,47 +131,118 @@ def _sweep_operands(n):
     ]
 
 
-SWEEP = range(1, coeffring._KERNEL_CAP + 3)
+def _sum_pairs(a, lb):
+    """Second operands of length lb for a: the sweep's own and, at equal
+    lengths, ones whose top entry cancels a's in the sum or the difference,
+    -a and a itself among them."""
+    pairs = [(a, b) for b in _sweep_operands(lb)]
+    if lb == len(a) and lb:
+        negated = tuple(-c for c in a)
+        for b in _sweep_operands(lb) + [a]:
+            pairs += [(a, b[:-1] + (-a[-1],)), (a, b[:-1] + (a[-1],))]
+        pairs += [(a, negated), (a, a)]
+    return pairs
+
+
+def _compiled(name):
+    """The ordered shapes (la, lb) whose entry of the ``name`` table is a
+    compiled kernel rather than the warm-up stub."""
+    table = coeffring._TABLES[name]
+    return {(la, lb) for la, row in enumerate(table) for lb, entry in enumerate(row)
+            if entry.__name__ == f"{name}_{la}x{lb}"}
+
+
+def _past_warm_up(pairs):
+    """pairs, repeated until each is used at least as often as a shape's
+    kernel takes to be compiled, then once more through the kernel."""
+    return pairs * -(-coeffring._COMPILE_AT // len(pairs)) + pairs
+
+
+CAP = coeffring._KERNEL_CAP
+SWEEP = range(0, CAP + 3)
 
 
 @pytest.mark.parametrize("la", SWEEP)
 def test_products_of_every_shape_to_past_the_cap(la):
-    # every shape (la, lb), lb <= la, from 1 x 1 to two entries past the cap,
-    # in both operand orders: up to the cap each product runs the shape's
-    # kernel, past it the double loop
-    for lb in range(1, la + 1):
-        for a in _sweep_operands(la):
-            for b in _sweep_operands(lb):
-                want = _schoolbook(a, b)
-                for got in (ParamPoly(a) * ParamPoly(b), ParamPoly(b) * ParamPoly(a)):
+    # every ordered shape (la, lb), from 0 x 0 to two entries past the cap
+    # on either side, so both operand orders: up to the cap each product runs
+    # its shape's loop during the warm-up and its kernel after, past the cap
+    # the loop alone
+    for lb in SWEEP:
+        pairs = [(a, b) for a in _sweep_operands(la) for b in _sweep_operands(lb)]
+        for a, b in _past_warm_up(pairs):
+            for got in (coeffring._mul_loop(a, b), ParamPoly(a) * ParamPoly(b)):
+                _assert_canonical(got)
+                assert got.coeffs == _schoolbook(a, b)
+                assert all(got(d0) == ParamPoly(a)(d0) * ParamPoly(b)(d0)
+                           for d0 in range(-1, got.degree() + 2))
+        if la <= CAP and lb <= CAP:
+            assert (la, lb) in _compiled("mul")
+    assert len(coeffring._MUL) == CAP + 1  # no row past the cap
+
+
+@pytest.mark.parametrize("la", SWEEP)
+def test_sums_and_differences_of_every_shape_to_past_the_cap(la):
+    # as the products: every ordered shape to two entries past the cap, with
+    # equal-length tops that cancel, zero operands and 100-bit entries
+    ops = ((operator.add, "add", 1, coeffring._add_loop),
+           (operator.sub, "sub", -1, coeffring._sub_loop))
+    for lb in SWEEP:
+        pairs = [pair for a in _sweep_operands(la) for pair in _sum_pairs(a, lb)]
+        for op, name, sign, loop in ops:
+            for x, y in _past_warm_up(pairs):
+                for got in (loop(x, y), op(ParamPoly(x), ParamPoly(y))):
                     _assert_canonical(got)
-                    assert got.coeffs == want
-                    n = got.degree()
-                    assert all(got(d0) == ParamPoly(a)(d0) * ParamPoly(b)(d0)
-                               for d0 in range(-1, n + 1))
-        assert ((la, lb) in coeffring._KERNELS) == (la <= coeffring._KERNEL_CAP)
+                    assert got.coeffs == _entrywise(x, y, sign)
+                    assert all(got(d0) == op(ParamPoly(x)(d0), ParamPoly(y)(d0))
+                               for d0 in range(-1, max(la, lb) + 1))
+            if la <= CAP and lb <= CAP:
+                assert (la, lb) in _compiled(name)
 
 
 def test_kernels_stay_within_the_cap():
-    cap = coeffring._KERNEL_CAP
-    before = dict(coeffring._KERNELS)
-    wide = ParamPoly(range(1, cap + 2))
-    for other in (ParamPoly([2]), ParamPoly([1, 1]), wide, ParamPoly(range(1, 3 * cap))):
-        assert (wide * other).coeffs == _schoolbook(wide.coeffs, other.coeffs)
-    assert coeffring._KERNELS == before  # a factor longer than the cap adds no kernel
-    ParamPoly([1, 2]) * ParamPoly([3])
-    assert all(type(key) is tuple and len(key) == 2 and 1 <= key[1] <= key[0] <= cap
-               and callable(kernel) for key, kernel in coeffring._KERNELS.items())
-    assert (2, 1) in coeffring._KERNELS
+    before = {name: [list(row) for row in table] for name, table in coeffring._TABLES.items()}
+    wide = ParamPoly(range(1, CAP + 2))
+    for other in (ParamPoly(), ParamPoly([2]), ParamPoly([1, 1]), wide, ParamPoly(range(1, 3 * CAP))):
+        for x, y in ((wide, other), (other, wide)):
+            for _ in range(coeffring._COMPILE_AT):
+                assert (x * y).coeffs == _schoolbook(x.coeffs, y.coeffs)
+                assert (x + y).coeffs == _entrywise(x.coeffs, y.coeffs, 1)
+                assert (x - y).coeffs == _entrywise(x.coeffs, y.coeffs, -1)
+    # an operand longer than the cap compiles no kernel
+    assert {name: [list(row) for row in table]
+            for name, table in coeffring._TABLES.items()} == before
+    for _ in range(coeffring._COMPILE_AT):
+        ParamPoly([1, 2]) * ParamPoly([3])
+    assert (2, 1) in _compiled("mul")
+    for name, table in coeffring._TABLES.items():
+        assert len(table) == CAP + 1 and all(len(row) == CAP + 1 for row in table)
+        assert all(callable(entry) and entry.__name__ in ("warm_up", f"{name}_{la}x{lb}")
+                   for la, row in enumerate(table) for lb, entry in enumerate(row))
+
+
+def _fresh_process(probe):
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run([sys.executable, "-c", "import sys; sys.path.insert(0, sys.argv[1]); "
+                           + probe, str(src)], capture_output=True, text=True, check=True, timeout=60)
+    return done.stdout
 
 
 def test_no_kernel_is_generated_at_import():
-    src = pathlib.Path(__file__).resolve().parent.parent / "src"
-    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import bistrata.cli; "
-             "from bistrata import coeffring; print(len(coeffring._KERNELS))")
-    done = subprocess.run([sys.executable, "-c", probe, str(src)],
-                          capture_output=True, text=True, check=True, timeout=60)
-    assert done.stdout == "0\n"
+    assert _fresh_process(
+        "import bistrata.cli; from bistrata import coeffring; "
+        "print(sorted({entry.__name__ for table in coeffring._TABLES.values() "
+        "for row in table for entry in row}), len(coeffring._TABLES))") == "['warm_up'] 3\n"
+
+
+def test_a_kernel_is_compiled_at_its_shapes_last_warm_up_use():
+    # a fresh process: (3, 2) runs the loop until its use number _COMPILE_AT,
+    # which compiles the kernel of that ordered shape alone
+    assert _fresh_process(
+        "from bistrata import coeffring; P = coeffring.ParamPoly; a, b = P([1, 2, 3]), P([4, 5]); "
+        "names = lambda: (coeffring._MUL[3][2].__name__, coeffring._MUL[2][3].__name__); "
+        "[a * b for _ in range(coeffring._COMPILE_AT - 1)]; print(*names()); "
+        "print((a * b).coeffs, *names())") == "warm_up warm_up\n(4, 13, 22, 15) mul_3x2 warm_up\n"
 
 
 @given(polys, polys, polys)
@@ -175,6 +259,17 @@ def test_power_is_repeated_multiplication(a):
     for n in range(13):
         assert a ** n == product
         product = product * a
+
+
+def test_power_refuses_an_exponent_that_is_not_an_int():
+    # True would be the first power and 2.0 would fail inside the powering
+    poly = ParamPoly([1, 2])
+    for bad in (True, False, 2.0, 0.0, "2", None):
+        with pytest.raises(TypeError):
+            poly ** bad
+        with pytest.raises(TypeError):
+            ParamPoly() ** bad
+    assert (poly ** 2).coeffs == (1, 4, 4)
 
 
 @pytest.mark.parametrize("n, products", [(0, 0), (1, 0), (2, 1), (3, 2), (28, 6)])
@@ -231,8 +326,7 @@ def _value(x, d0):
 # An oracle outside the ring's own arithmetic: a polynomial of degree at most
 # n is fixed by its values at n + 1 points, and evaluation is Horner alone.
 # The ring axioms are no such oracle: a product that always returns zero
-# satisfies all three, and ``__mul__`` swaps its operands by length, so
-# a * b == b * a compares one computation with itself when the lengths differ.
+# satisfies all three.
 @given(st.one_of(st.tuples(wide_polys, st.one_of(wide_polys, ints)),
                  st.tuples(ints, wide_polys)))
 def test_ring_operations_agree_with_evaluation(operands):

@@ -256,6 +256,17 @@ def test_zeroth_power_is_identity():
     assert a ** 0 * a == a
 
 
+def test_power_refuses_an_exponent_that_is_not_an_int():
+    # True would be the first power and 2.0 would fail inside the powering
+    a = divisor(XL, 1, X=2, L=-1)
+    for bad in (True, False, 2.0, 0.0, "2", None):
+        with pytest.raises(TypeError):
+            a ** bad
+        with pytest.raises(TypeError):
+            gen(XL, "X") ** bad
+    assert a ** 2 == a * a
+
+
 def test_top_coefficient_of_large_power():
     # coefficient of X^2 in (F+(d-p)X)^binom(p+2,2) is binom(binom(p+2,2),2)(d-p)^2
     p = 2

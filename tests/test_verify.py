@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from bistrata import degrees, strata, verify
+from bistrata import coeffring, degrees, strata, verify
 from bistrata.cli import main
 from bistrata.coeffring import ParamPoly
 from bistrata.cohring import CohClass
@@ -59,6 +59,48 @@ def test_ring_suite_draws_once_per_process(monkeypatch):
     assert verify._ring_triples.cache_info().currsize == 1
     verify.ring_checks()
     assert len(draws) == 3030
+
+
+def test_commutativity_compares_two_kernels_on_826_triples():
+    # ``ab == b * a`` multiplies through the (la, lb) entry of the product
+    # table on one side and the (lb, la) entry on the other: two kernels, not
+    # one computation compared with itself
+    unequal = [(len(a.coeffs), len(b.coeffs)) for a, b, _ in verify._ring_triples(1000, 20260809)
+               if len(a.coeffs) != len(b.coeffs)]
+    assert len(unequal) == 826
+    table = coeffring._MUL
+    saved = [list(row) for row in table]
+    used = set()
+    for la, row in enumerate(table):
+        for lb, entry in enumerate(row):
+            def spy(a, b, _entry=entry, _shape=(la, lb)):
+                used.add(_shape)
+                return _entry(a, b)
+            row[lb] = spy
+    try:
+        assert verify.ring_checks()[0][1]
+    finally:
+        for row, entries in zip(table, saved):
+            row[:] = entries
+    assert all((la, lb) in used and (lb, la) in used for la, lb in unequal)
+
+
+def test_ring_axioms_fail_on_a_wrong_kernel_of_one_ordered_shape():
+    right = coeffring._compile("mul", 3, 2)
+
+    def wrong(a, b):  # the top entry off by one, on (3, 2) only
+        top = right(a, b).coeffs
+        return ParamPoly(top[:-1] + (top[-1] + 1,))
+
+    coeffring._MUL[3][2] = wrong
+    try:
+        a, b = ParamPoly([1, 2, 3]), ParamPoly([4, 5])
+        assert a * b != b * a
+        name, ok, _ = verify.ring_checks()[0]
+    finally:
+        coeffring._MUL[3][2] = right
+    assert name == "coefficient ring axioms on 1000 random triples" and not ok
+    assert verify.ring_checks()[0][1]
 
 
 @pytest.fixture
